@@ -292,6 +292,8 @@ def _cmd_analyze(args) -> dict:
             "upper": ci.upper,
             "alpha": ci.alpha,
             "grid": {"lo": ci.grid[0], "hi": ci.grid[1], "step": ci.grid[2]},
+            "lower_at_edge": ci.lower_at_edge,
+            "upper_at_edge": ci.upper_at_edge,
             "wald": list(ci.wald_init),
         }
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from ._batch import make_evaluator, stat_matrix
+from ._batch import _studentized, make_evaluator, stat_matrix
 from .designs import (
     ClusterDesign,
     CompleteDesign,
@@ -77,13 +77,23 @@ class FrtResult:
 
 @dataclass(frozen=True)
 class CiResult:
-    """Confidence interval from test inversion over a fixed grid."""
+    """Confidence interval from test inversion over a fixed grid.
+
+    `grid` is (lo, hi, step); `points` and `p_values` are the tested shifts
+    and their p-values. `lower_at_edge` / `upper_at_edge` flag an accepted
+    region that reaches the first / last grid point, where the interval may
+    be cut off by the grid rather than by the test.
+    """
 
     lower: float
     upper: float
     alpha: float
     grid: tuple[float, float, float]
     wald_init: tuple[float, float]
+    points: np.ndarray
+    p_values: np.ndarray
+    lower_at_edge: bool
+    upper_at_edge: bool
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -219,15 +229,24 @@ def _chunk_bounds(rows: int, n: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, rows)) for s in range(0, rows, size)]
 
 
-def _eval_chunks(evaluator, zmat: np.ndarray, specs, workers: int) -> np.ndarray:
+def _eval_chunks(fn, zmat: np.ndarray, workers: int) -> np.ndarray:
+    """`fn` over fixed row chunks of `zmat`, results stacked in row order."""
     bounds = _chunk_bounds(zmat.shape[0], zmat.shape[1])
     if len(bounds) == 1:
-        return stat_matrix(evaluator, zmat, specs)
+        return fn(zmat)
     if workers == 1:
-        return np.vstack([stat_matrix(evaluator, zmat[s:e], specs) for s, e in bounds])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda se: stat_matrix(evaluator, zmat[se[0] : se[1]], specs), bounds))
-    return np.vstack(parts)
+        parts = [fn(zmat[s:e]) for s, e in bounds]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda se: fn(zmat[se[0] : se[1]]), bounds))
+    return np.concatenate(parts)
+
+
+def _replicate_count(r) -> int:
+    r = int(r)
+    if r < 1:
+        raise InvariantViolation(f"need at least one replicate, got R={r}")
+    return r
 
 
 def _locate_row(zmat: np.ndarray, z: np.ndarray) -> int | None:
@@ -266,9 +285,12 @@ def frt_p_value(
     evaluator = make_evaluator(adata.y, adata.x, adata.strata if stratified else None)
     nworkers = worker_count(workers)
 
+    def stats(chunk):
+        return stat_matrix(evaluator, chunk, [spec])[:, 0]
+
     if exact:
         zmat = exhaustive_assignments(adesign)
-        vals = _eval_chunks(evaluator, zmat, [spec], nworkers)[:, 0]
+        vals = _eval_chunks(stats, zmat, nworkers)
         row = _locate_row(zmat, adata.z)
         if row is not None:
             t_obs = float(vals[row])
@@ -277,12 +299,10 @@ def frt_p_value(
         p = _count_extreme(vals, t_obs, sided) / vals.shape[0]
         return FrtResult(t_obs, vals, float(p), 0.0, "exact", int(seed), design, spec, sided)
 
-    r = int(r)
-    if r < 1:
-        raise InvariantViolation(f"need at least one replicate, got R={r}")
+    r = _replicate_count(r)
     t_obs = float(stat_matrix(evaluator, adata.z[None, :], [spec])[0, 0])
     zmat = _draw_matrix(adesign, r, int(seed), nworkers)
-    vals = _eval_chunks(evaluator, zmat, [spec], nworkers)[:, 0]
+    vals = _eval_chunks(stats, zmat, nworkers)
     p = (1 + _count_extreme(vals, t_obs, sided)) / (1 + r)
     mc_se = math.sqrt(p * (1 - p) / r)
     return FrtResult(t_obs, vals, float(p), mc_se, "monte_carlo", int(seed), design, spec, sided)
@@ -306,16 +326,17 @@ def frt_p_values(
     """
     if sided not in _SIDES:
         raise InvariantViolation(f"sided must be one of {_SIDES}, got {sided!r}")
+    r = _replicate_count(r)
     adata, adesign = _analysis_form(data, design)
     stratified = isinstance(adesign, StratifiedDesign)
     evaluator = make_evaluator(adata.y, adata.x, adata.strata if stratified else None)
     nworkers = worker_count(workers)
     t_obs = stat_matrix(evaluator, adata.z[None, :], specs)[0]
-    zmat = _draw_matrix(adesign, int(r), int(seed), nworkers)
-    vals = _eval_chunks(evaluator, zmat, specs, nworkers)
+    zmat = _draw_matrix(adesign, r, int(seed), nworkers)
+    vals = _eval_chunks(lambda chunk: stat_matrix(evaluator, chunk, specs), zmat, nworkers)
     p = np.empty(len(specs))
     for j in range(len(specs)):
-        p[j] = (1 + _count_extreme(vals[:, j], float(t_obs[j]), sided)) / (1 + int(r))
+        p[j] = (1 + _count_extreme(vals[:, j], float(t_obs[j]), sided)) / (1 + r)
     return t_obs, p
 
 
@@ -327,6 +348,24 @@ def wald_ci(triple: EstimateTriple, alpha: float) -> tuple[float, float]:
         raise ZeroSe("robust standard error must be positive for a Wald interval")
     q = float(scipy.special.ndtri(1 - alpha / 2))
     return (triple.tau_hat - q * triple.se_robust, triple.tau_hat + q * triple.se_robust)
+
+
+def _stat_at_shift(vals: np.ndarray, nodes, c: float, studentization: str) -> np.ndarray:
+    """Statistic under Y - cZ from its node values (see `invert_ci`).
+
+    The estimate is interpolated linearly between the end nodes and the
+    squared SE by the quadratic through all three nodes, so each reproduces
+    its node evaluations exactly.
+    """
+    c0, c1, c2 = nodes
+    u = (c - c0) / (c2 - c0)
+    tau = (1 - u) * vals[:, 0] + u * vals[:, 1]
+    if studentization == "none":
+        return tau
+    l0 = (c - c1) * (c - c2) / ((c0 - c1) * (c0 - c2))
+    l1 = (c - c0) * (c - c2) / ((c1 - c0) * (c1 - c2))
+    l2 = (c - c0) * (c - c1) / ((c2 - c0) * (c2 - c1))
+    return _studentized(tau, l0 * vals[:, 2] + l1 * vals[:, 3] + l2 * vals[:, 4])
 
 
 def invert_ci(
@@ -349,6 +388,14 @@ def invert_ci(
     interval is the smallest and largest non-rejected grid point. All grid
     points share one set of reference assignments, so the acceptance region
     boundary is stable.
+
+    The reference set is evaluated only at the grid's ends and midpoint.
+    Every fit depends on the reference assignment and X alone, so a
+    replicate's estimate is linear in c and each squared SE quadratic in c;
+    interpolating those three evaluations gives the statistic at every grid
+    point in O(R). The cost is three evaluations of the reference set
+    whatever the grid size. The result carries the p-value of every grid
+    point and flags an accepted region that reaches either grid edge.
     """
     if spec.studentization != "robust":
         warnings.warn(
@@ -356,6 +403,8 @@ def invert_ci(
             f"got {spec.label}",
             stacklevel=2,
         )
+    if sided not in _SIDES:
+        raise InvariantViolation(f"sided must be one of {_SIDES}, got {sided!r}")
     adata, adesign = _analysis_form(data, design)
     stratified = isinstance(adesign, StratifiedDesign)
     triple = (
@@ -384,29 +433,39 @@ def invert_ci(
     if exact:
         zmat = exhaustive_assignments(adesign)
     else:
-        zmat = _draw_matrix(adesign, int(r), int(seed), nworkers)
+        zmat = _draw_matrix(adesign, _replicate_count(r), int(seed), nworkers)
     m = zmat.shape[0]
 
+    nodes = (lo, lo + (hi - lo) / 2, hi)
     z_float = np.asarray(data.z, dtype=np.float64)
     x_arg = data.x if data.j else None
-    p_vals = np.empty(num)
-    obs_row = None
-    for idx, c in enumerate(points):
+    evaluators = []
+    for c in nodes:
         shifted = Dataset(
             data.y - c * z_float, data.z, x_arg, strata=data.strata, clusters=data.clusters
         )
         adata_c, _ = _analysis_form(shifted, design)
-        evaluator = make_evaluator(
-            adata_c.y, adata_c.x, adata_c.strata if stratified else None
+        evaluators.append(
+            make_evaluator(adata_c.y, adata_c.x, adata_c.strata if stratified else None)
         )
-        if idx == 0 and exact:
-            obs_row = _locate_row(zmat, adata_c.z)
-        vals = _eval_chunks(evaluator, zmat, [spec], nworkers)[:, 0]
-        if exact and obs_row is not None:
-            t_obs = float(vals[obs_row])
-        else:
-            t_obs = float(stat_matrix(evaluator, adata_c.z[None, :], [spec])[0, 0])
-        extreme = _count_extreme(vals, t_obs, sided)
+
+    def node_values(chunk):
+        # per row: tau at lo and hi, then the squared SE at lo, mid and hi
+        chunk = np.asarray(chunk, dtype=np.float64)
+        taus, se2s = [], []
+        for evaluator in evaluators:
+            tau, se2_classic, se2_robust = evaluator.triples(chunk, spec.adjustment)
+            taus.append(tau)
+            se2s.append(se2_robust if spec.studentization == "robust" else se2_classic)
+        return np.column_stack([taus[0], taus[2], *se2s])
+
+    vals = _eval_chunks(node_values, zmat, nworkers)
+    obs_row = _locate_row(zmat, adata.z) if exact else None
+    obs = vals[obs_row : obs_row + 1] if obs_row is not None else node_values(adata.z[None, :])
+    p_vals = np.empty(num)
+    for idx, c in enumerate(points):
+        t_obs = float(_stat_at_shift(obs, nodes, c, spec.studentization)[0])
+        extreme = _count_extreme(_stat_at_shift(vals, nodes, c, spec.studentization), t_obs, sided)
         p_vals[idx] = extreme / m if exact else (1 + extreme) / (1 + m)
 
     accepted = p_vals > alpha
@@ -420,5 +479,13 @@ def invert_ci(
         )
     kept = points[accepted]
     return CiResult(
-        float(kept.min()), float(kept.max()), float(alpha), (float(lo), float(hi), float(step)), wald
+        float(kept.min()),
+        float(kept.max()),
+        float(alpha),
+        (float(lo), float(hi), float(step)),
+        wald,
+        points,
+        p_vals,
+        bool(accepted[0]),
+        bool(accepted[-1]),
     )

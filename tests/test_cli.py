@@ -181,6 +181,7 @@ def test_analyze_ci(csv12, capsysbinary):
     assert ci["alpha"] == 0.05
     assert ci["lower"] <= report["estimate"]["tau_hat"] <= ci["upper"]
     assert len(ci["wald"]) == 2 and ci["grid"]["step"] > 0
+    assert ci["lower_at_edge"] is False and ci["upper_at_edge"] is False
     assert "wald" not in report  # the top-level field moves inside ci
 
 
