@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateArm, DimensionMismatch, RankDeficient
+from .errors import DegenerateArm, DimensionMismatch, InvalidSizes, RankDeficient
 from .estimators import StatisticSpec
 
 _QR_TOL = 1e-10
@@ -108,7 +108,10 @@ class CompleteEvaluator:
         return tau, se2_classic, se2_robust
 
     def _n1(self, zmat) -> int:
-        n1 = int(round(float(zmat[0].sum())))
+        sums = zmat.sum(axis=1)
+        if sums.size and np.any(sums != sums[0]):
+            raise InvalidSizes("assignment rows treat different numbers of units")
+        n1 = int(round(float(sums[0]))) if sums.size else 0
         if n1 < 2 or self.n - n1 < 2:
             raise DegenerateArm(f"each arm needs >= 2 units, got N1={n1}")
         return n1

@@ -3,12 +3,19 @@
 The same objects describe both the design stage (how the experiment assigned
 treatment) and the permutation law of the randomization test; the engine
 redraws assignments from whichever design it is given.
+
+Every design draws a whole batch of assignments at once with
+`draw_batch(rng, rows)`, consuming its stream row by row: the first k rows
+of a batch are the rows a k-row batch from the same stream would hold.
+Batches are uint8 with one column per unit the design assigns (clusters
+for a cluster design).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -16,13 +23,32 @@ import scipy.special
 
 from .errors import AcceptanceTimeout, DimensionMismatch, InvalidSizes, InvariantViolation, SingularCovariance
 
-# Candidates examined per vectorized rejection-sampling round.
+# Candidates in the first block of a rejection-sampling draw.
 _REJECTION_BATCH = 64
+# Default rejection budget: candidates per accepted assignment.
+_MAX_TRIES = 10**6
+# Float64 values a batch draw may hold in temporaries at once; equal to the
+# engine's evaluation chunk.
+_BLOCK_ELEMENTS = 4_000_000
+# Values per block of rejection-sampling candidates: a few hundred rows, so
+# a block's float64 copy stays in cache and draws on worker threads stay small.
+_CANDIDATE_ELEMENTS = 65_536
 
 
 def _check_arms(n: int, n1: int, what: str = "units"):
     if not (2 <= n1 <= n - 2):
         raise InvalidSizes(f"need 2 <= treated {what} <= total - 2, got {n1} of {n}")
+
+
+def _batch_out(rows: int, n: int, out: np.ndarray | None) -> np.ndarray:
+    return np.empty((rows, n), dtype=np.uint8) if out is None else out
+
+
+def _permuted_rows(rng: np.random.Generator, n1: int, out: np.ndarray) -> np.ndarray:
+    """Fill each row of `out` with a uniform assignment of n1 treated."""
+    out[:] = 0
+    out[:, :n1] = 1
+    return rng.permuted(out, axis=1, out=out)
 
 
 @dataclass(frozen=True)
@@ -35,6 +61,10 @@ class CompleteDesign:
     def __post_init__(self):
         _check_arms(self.n_units, self.n_treated)
 
+    def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
+        """`rows` assignments, written into `out` ((rows, N) uint8) if given."""
+        return _permuted_rows(rng, self.n_treated, _batch_out(rows, self.n_units, out))
+
 
 @dataclass(frozen=True)
 class ClusterDesign:
@@ -45,6 +75,10 @@ class ClusterDesign:
 
     def __post_init__(self):
         _check_arms(self.n_clusters, self.n_treated_clusters, "clusters")
+
+    def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
+        """Cluster-level assignments, written into `out` ((rows, M) uint8) if given."""
+        return _permuted_rows(rng, self.n_treated_clusters, _batch_out(rows, self.n_clusters, out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +116,68 @@ class StratifiedDesign:
             sizes.append((int(zk.shape[0]), int(zk.sum())))
         return cls(strata, tuple(sizes))
 
+    @property
+    def n_units(self) -> int:
+        return self.strata.shape[0]
+
+    @cached_property
+    def _members(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.flatnonzero(self.strata == k) for k in range(len(self.sizes)))
+
+    def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
+        """`rows` assignments, written into `out` ((rows, N) uint8) if given.
+
+        Each row treats the N_k1 units with the smallest uniform keys in
+        every stratum; keys are drawn row-major, one per unit.
+        """
+        n = self.n_units
+        out = _batch_out(rows, n, out)
+        out[:] = 0
+        # keys, one stratum's copy of them and its index array stay within a block
+        step = max(1, _BLOCK_ELEMENTS // (4 * n))
+        for start in range(0, rows, step):
+            block = out[start : start + step]
+            keys = rng.random(block.shape)
+            for cols, (_, n_k1) in zip(self._members, self.sizes):
+                pick = np.argpartition(keys[:, cols], n_k1 - 1, axis=1)[:, :n_k1]
+                np.put_along_axis(block, cols[pick], 1, axis=1)
+        return out
+
+
+class _BalanceMetric:
+    """Design covariates whitened once for the Mahalanobis criterion.
+
+    With w the centered covariates in the metric of S2_x, the distance of an
+    assignment with treated sum s = z'w is N s's / (N1 N0). A ones column
+    rides along so one product also yields each row's N1.
+    """
+
+    def __init__(self, x_d: np.ndarray):
+        x_d = np.asarray(x_d, dtype=np.float64)
+        if x_d.ndim == 1:
+            x_d = x_d.reshape(-1, 1)
+        self.n, self.j = x_d.shape
+        chol = np.linalg.cholesky(_balance_metric(x_d))
+        xc = x_d - x_d.mean(axis=0)
+        white = scipy.linalg.solve_triangular(chol, xc.T, lower=True).T
+        self.block = np.column_stack([white, np.ones(self.n)])
+
+    def distances(self, zmat: np.ndarray) -> np.ndarray:
+        if zmat.ndim != 2 or zmat.shape[1] != self.n:
+            raise DimensionMismatch(f"assignments must be (B, {self.n})")
+        if zmat.shape[0] == 0:
+            return np.empty(0)
+        sums = zmat @ self.block
+        arm = sums[:, self.j]
+        if np.any(arm != arm[0]):
+            raise InvalidSizes("assignment rows treat different numbers of units")
+        n1 = float(arm[0])
+        n0 = self.n - n1
+        if n1 < 1 or n0 < 1:
+            raise InvalidSizes("both arms must be nonempty")
+        s = sums[:, : self.j]
+        return (self.n / (n1 * n0)) * np.einsum("ij,ij->i", s, s)
+
 
 @dataclass(frozen=True, eq=False)
 class RerandomizedDesign:
@@ -111,6 +207,51 @@ class RerandomizedDesign:
         x.setflags(write=False)
         object.__setattr__(self, "covariates", x)
 
+    @property
+    def n_units(self) -> int:
+        return self.base.n_units
+
+    @cached_property
+    def balance(self) -> _BalanceMetric:
+        """The validated, factored balance metric, built on first use."""
+        return _BalanceMetric(self.covariates)
+
+    def draw_batch(
+        self, rng: np.random.Generator, rows: int, out=None, max_tries: int = _MAX_TRIES
+    ) -> np.ndarray:
+        """Accepted base-design candidates, in the order they were drawn,
+        written into `out` ((rows, N) uint8) if given.
+
+        Candidates are filtered in vectorized blocks that double from
+        `_REJECTION_BATCH` up to a cache-sized cap; which rows come out
+        depends only on the stream.
+        Raises AcceptanceTimeout once `max_tries` candidates per accepted row
+        plus one have been examined.
+        """
+        if max_tries < 1:
+            raise InvariantViolation(f"max_tries must be positive, got {max_tries}")
+        n, n1 = self.base.n_units, self.base.n_treated
+        cap = max(1, _CANDIDATE_ELEMENTS // n)
+        out = _batch_out(rows, n, out)
+        accepted = tries = 0
+        while accepted < rows:
+            budget = max_tries * (accepted + 1)
+            if tries >= budget:
+                raise AcceptanceTimeout(
+                    f"{accepted} of {rows} assignments accepted in {tries} tries "
+                    f"(threshold {self.threshold})",
+                    tries=tries,
+                    acceptance_rate=accepted / tries,
+                )
+            size = min(max(_REJECTION_BATCH, tries), cap, budget - tries)
+            candidates = _permuted_rows(rng, n1, np.empty((size, n), dtype=np.uint8))
+            hits = np.flatnonzero(mahalanobis_many(candidates, self.balance) < self.threshold)
+            hits = hits[: rows - accepted]
+            out[accepted : accepted + hits.size] = candidates[hits]
+            accepted += hits.size
+            tries += size
+        return out
+
 
 DesignSpec = CompleteDesign | ClusterDesign | StratifiedDesign | RerandomizedDesign
 
@@ -125,20 +266,12 @@ class BalanceReport:
 
 def draw_complete(n: int, n1: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the assignments with exactly n1 of n treated."""
-    _check_arms(n, n1)
-    template = np.zeros(n, dtype=np.int64)
-    template[:n1] = 1
-    return rng.permutation(template)
+    return draw(CompleteDesign(n, n1), rng)
 
 
 def draw_stratified(design: StratifiedDesign, rng: np.random.Generator) -> np.ndarray:
     """Independent complete randomization inside each stratum."""
-    z = np.zeros(design.strata.shape[0], dtype=np.int64)
-    for k, (n_k, n_k1) in enumerate(design.sizes):
-        template = np.zeros(n_k, dtype=np.int64)
-        template[:n_k1] = 1
-        z[design.strata == k] = rng.permutation(template)
-    return z
+    return draw(design, rng)
 
 
 def _balance_metric(x_d: np.ndarray) -> np.ndarray:
@@ -178,24 +311,15 @@ def mahalanobis(z: np.ndarray, x_d: np.ndarray, threshold: float = np.inf) -> Ba
     return BalanceReport(tau_x, dist, dist < threshold, threshold)
 
 
-def mahalanobis_many(zmat: np.ndarray, x_d: np.ndarray) -> np.ndarray:
-    """Balance distances for a batch of assignments (rows of zmat)."""
-    x_d = np.asarray(x_d, dtype=np.float64)
-    if x_d.ndim == 1:
-        x_d = x_d.reshape(-1, 1)
-    zmat = np.asarray(zmat, dtype=np.float64)
-    n = x_d.shape[0]
-    n1 = int(round(zmat[0].sum()))
-    n0 = n - n1
-    s2 = _balance_metric(x_d)
-    cov = (n / (n1 * n0)) * s2
-    factor = scipy.linalg.cho_factor(cov)
-    col_sums = x_d.sum(axis=0)
-    mean1 = (zmat @ x_d) / n1
-    mean0 = (col_sums[None, :] - mean1 * n1) / n0
-    tau = mean1 - mean0
-    w = scipy.linalg.cho_solve(factor, tau.T).T
-    return np.einsum("ij,ij->i", tau, w)
+def mahalanobis_many(zmat: np.ndarray, x_d) -> np.ndarray:
+    """Balance distances for a batch of assignments (rows of zmat).
+
+    `x_d` is the design covariates, or a design's factored `balance` metric
+    to skip re-validating them. Every row must treat the same number of
+    units.
+    """
+    metric = x_d if isinstance(x_d, _BalanceMetric) else _BalanceMetric(x_d)
+    return metric.distances(np.asarray(zmat))
 
 
 def draw_rem(
@@ -204,55 +328,22 @@ def draw_rem(
     x_d: np.ndarray,
     a: float,
     rng: np.random.Generator,
-    max_tries: int = 10**6,
+    max_tries: int = _MAX_TRIES,
 ) -> np.ndarray:
     """Rejection-sample a complete assignment until the criterion accepts.
 
-    Candidates are drawn in small vectorized rounds from the same stream;
-    the first acceptable candidate in draw order is returned, so the result
+    The first acceptable candidate in draw order is returned, so the result
     is a deterministic function of the stream.
     """
-    x_d = np.asarray(x_d, dtype=np.float64)
-    if x_d.ndim == 1:
-        x_d = x_d.reshape(-1, 1)
-    _check_arms(n, n1)
-    if not (a > 0):
-        raise InvariantViolation(f"threshold must be positive, got {a}")
-    template = np.zeros(n, dtype=np.int64)
-    template[:n1] = 1
-    tries = 0
-    while tries < max_tries:
-        batch = min(_REJECTION_BATCH, max_tries - tries)
-        zmat = rng.permuted(np.tile(template, (batch, 1)), axis=1)
-        dists = mahalanobis_many(zmat, x_d)
-        hits = np.nonzero(dists < a)[0]
-        if hits.size:
-            return zmat[hits[0]].copy()
-        tries += batch
-    raise AcceptanceTimeout(
-        f"no acceptable assignment in {tries} tries (threshold {a})",
-        tries=tries,
-        acceptance_rate=0.0,
-    )
+    design = RerandomizedDesign(CompleteDesign(n, n1), a, x_d)
+    return design.draw_batch(rng, 1, max_tries=max_tries)[0].astype(np.int64)
 
 
 def draw(design: DesignSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw one assignment vector from any design."""
-    if isinstance(design, CompleteDesign):
-        return draw_complete(design.n_units, design.n_treated, rng)
-    if isinstance(design, ClusterDesign):
-        return draw_complete(design.n_clusters, design.n_treated_clusters, rng)
-    if isinstance(design, StratifiedDesign):
-        return draw_stratified(design, rng)
-    if isinstance(design, RerandomizedDesign):
-        return draw_rem(
-            design.base.n_units,
-            design.base.n_treated,
-            design.covariates,
-            design.threshold,
-            rng,
-        )
-    raise TypeError(f"unknown design {design!r}")
+    if not isinstance(design, DesignSpec):
+        raise TypeError(f"unknown design {design!r}")
+    return design.draw_batch(rng, 1)[0].astype(np.int64)
 
 
 def assignment_count(design: DesignSpec) -> int:

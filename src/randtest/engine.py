@@ -5,14 +5,16 @@ the assignment space) or by Monte Carlo, for any statistic in `estimators`
 under complete, cluster, stratified, and rerandomized designs, and inverts
 the test over a grid of constant-effect nulls into a confidence interval.
 
-Replicate i always uses the random stream seeded by (seed, i), so results
-are reproducible and independent of how replicates are split over worker
-threads.
+Monte Carlo replicates are drawn in fixed chunks of `_STREAM_ROWS` rows;
+chunk c draws its rows as one batch from the stream seeded by (seed, c).
+The chunk size depends on nothing else, so replicate i is a function of the
+seed and i alone: results are reproducible, a run of R replicates is the
+prefix of any longer run with the same seed, and nothing depends on how
+evaluation is split over worker threads.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import warnings
@@ -29,8 +31,9 @@ from .designs import (
     DesignSpec,
     RerandomizedDesign,
     StratifiedDesign,
+    _BLOCK_ELEMENTS,
     assignment_count,
-    draw,
+    draw,  # unused here; perfbench/spans.py traces design draws at this name
     mahalanobis_many,
 )
 from .errors import (
@@ -50,8 +53,13 @@ from .estimators import (
 )
 
 EXHAUSTIVE_CAP = 1_000_000
-_CHUNK_ELEMENTS = 4_000_000
+_CHUNK_ELEMENTS = _BLOCK_ELEMENTS
+# Replicates per random stream (see the module docstring).
+_STREAM_ROWS = 1024
 _SIDES = ("one", "two")
+_TIE_RTOL = 1e-9
+# Replicate-by-shift values scored at once when scanning the CI grid.
+_GRID_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,11 @@ class FrtResult:
 class CiResult:
     """Confidence interval from test inversion over a fixed grid.
 
-    `grid` is (lo, hi, step); `points` and `p_values` are the tested shifts
-    and their p-values. `lower_at_edge` / `upper_at_edge` flag an accepted
-    region that reaches the first / last grid point, where the interval may
-    be cut off by the grid rather than by the test.
+    `lower` / `upper` bound the accepted region, located between grid points
+    by bisection. `grid` is (lo, hi, step); `points` and `p_values` are the
+    tested grid shifts and their p-values. `lower_at_edge` / `upper_at_edge`
+    flag an accepted region that reaches the first / last grid point, where
+    the interval may be cut off by the grid rather than by the test.
     """
 
     lower: float
@@ -152,21 +161,23 @@ def _analysis_form(data: Dataset, design: DesignSpec) -> tuple[Dataset, DesignSp
     raise TypeError(f"unknown design {design!r}")
 
 
-def _design_units(design: DesignSpec) -> int:
-    if isinstance(design, CompleteDesign):
-        return design.n_units
-    if isinstance(design, StratifiedDesign):
-        return design.strata.shape[0]
-    if isinstance(design, RerandomizedDesign):
-        return design.base.n_units
-    raise TypeError(f"no unit count for {design!r}")
-
-
 def _enumerate_complete(n: int, n1: int) -> np.ndarray:
-    out = np.zeros((math.comb(n, n1), n), dtype=np.uint8)
-    for i, treated in enumerate(itertools.combinations(range(n), n1)):
-        out[i, treated] = 1
-    return out
+    """Every assignment of n1 of n units, rows in the lexicographic order of
+    the treated index tuples (the order of itertools.combinations)."""
+    # level m holds, for each feasible j, the assignments of the last m units
+    # with j treated; those treating the first unit precede those that do not
+    level = {0: np.zeros((1, 0), dtype=np.uint8)}
+    for m in range(1, n + 1):
+        nxt = {}
+        for j in range(max(0, n1 - (n - m)), min(n1, m) + 1):
+            parts = [
+                np.hstack([np.full((sub.shape[0], 1), bit, dtype=np.uint8), sub])
+                for bit, sub in ((1, level.get(j - 1)), (0, level.get(j)))
+                if sub is not None
+            ]
+            nxt[j] = np.concatenate(parts)
+        level = nxt
+    return level[n1]
 
 
 def exhaustive_assignments(design: DesignSpec, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
@@ -194,7 +205,9 @@ def exhaustive_assignments(design: DesignSpec, cap: int = EXHAUSTIVE_CAP) -> np.
         return out
     if isinstance(design, RerandomizedDesign):
         base = exhaustive_assignments(design.base, cap)
-        dist = mahalanobis_many(base.astype(np.float64), design.covariates)
+        dist = np.concatenate(
+            [mahalanobis_many(base[s:e], design.balance) for s, e in _chunk_bounds(*base.shape)]
+        )
         keep = dist < design.threshold
         if not keep.any():
             raise InvariantViolation("no assignment satisfies the balance threshold")
@@ -202,22 +215,18 @@ def exhaustive_assignments(design: DesignSpec, cap: int = EXHAUSTIVE_CAP) -> np.
     raise TypeError(f"unknown design {design!r}")
 
 
-def _draw_matrix(design: DesignSpec, r: int, seed: int, workers: int) -> np.ndarray:
-    """R assignments, row i drawn from the stream seeded by (seed, i)."""
-    n = _design_units(design)
-    out = np.empty((r, n), dtype=np.uint8)
+def _streams(r: int, seed: int):
+    """(start, stop, generator) for each chunk of `_STREAM_ROWS` replicates."""
+    for c, start in enumerate(range(0, r, _STREAM_ROWS)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, c))))
+        yield start, min(start + _STREAM_ROWS, r), rng
 
-    def fill(start: int, stop: int):
-        for i in range(start, stop):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-            out[i] = draw(design, rng)
 
-    bounds = _chunk_bounds(r, n)
-    if len(bounds) == 1 or workers == 1:
-        fill(0, r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda se: fill(*se), bounds))
+def _draw_matrix(design: DesignSpec, r: int, seed: int) -> np.ndarray:
+    """R assignments drawn chunk by chunk, one stream per chunk."""
+    out = np.empty((r, design.n_units), dtype=np.uint8)
+    for start, stop, rng in _streams(r, seed):
+        design.draw_batch(rng, stop - start, out=out[start:stop])
     return out
 
 
@@ -254,11 +263,17 @@ def _locate_row(zmat: np.ndarray, z: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _count_extreme(vals: np.ndarray, t_obs: float, sided: str) -> int:
-    # Negated strict comparisons count NaNs (errored replicates) as extreme.
+def _count_extreme(vals: np.ndarray, t_obs, sided: str):
+    """Extreme replicates in each column of `vals`, against `t_obs` per column."""
+    # Replicates within a relative _TIE_RTOL of t_obs tie with it, so a tie
+    # that is exact in real arithmetic counts whatever the rounding. Negated
+    # strict comparisons count NaNs (errored replicates) as extreme.
+    t_obs = np.asarray(t_obs, dtype=np.float64)
+    finite = np.isfinite(t_obs)
+    tol = _TIE_RTOL * np.maximum(1.0, np.abs(np.where(finite, t_obs, 0.0))) * finite
     if sided == "two":
-        return int(np.count_nonzero(~(np.abs(vals) < abs(t_obs))))
-    return int(np.count_nonzero(~(vals < t_obs)))
+        return np.count_nonzero(~(np.abs(vals) < np.abs(t_obs) - tol), axis=0)
+    return np.count_nonzero(~(vals < t_obs - tol), axis=0)
 
 
 def frt_p_value(
@@ -301,7 +316,7 @@ def frt_p_value(
 
     r = _replicate_count(r)
     t_obs = float(stat_matrix(evaluator, adata.z[None, :], [spec])[0, 0])
-    zmat = _draw_matrix(adesign, r, int(seed), nworkers)
+    zmat = _draw_matrix(adesign, r, int(seed))
     vals = _eval_chunks(stats, zmat, nworkers)
     p = (1 + _count_extreme(vals, t_obs, sided)) / (1 + r)
     mc_se = math.sqrt(p * (1 - p) / r)
@@ -332,7 +347,7 @@ def frt_p_values(
     evaluator = make_evaluator(adata.y, adata.x, adata.strata if stratified else None)
     nworkers = worker_count(workers)
     t_obs = stat_matrix(evaluator, adata.z[None, :], specs)[0]
-    zmat = _draw_matrix(adesign, r, int(seed), nworkers)
+    zmat = _draw_matrix(adesign, r, int(seed))
     vals = _eval_chunks(lambda chunk: stat_matrix(evaluator, chunk, specs), zmat, nworkers)
     p = np.empty(len(specs))
     for j in range(len(specs)):
@@ -350,8 +365,9 @@ def wald_ci(triple: EstimateTriple, alpha: float) -> tuple[float, float]:
     return (triple.tau_hat - q * triple.se_robust, triple.tau_hat + q * triple.se_robust)
 
 
-def _stat_at_shift(vals: np.ndarray, nodes, c: float, studentization: str) -> np.ndarray:
-    """Statistic under Y - cZ from its node values (see `invert_ci`).
+def _stat_at_shift(vals: np.ndarray, nodes, c: np.ndarray, studentization: str) -> np.ndarray:
+    """Statistic under Y - cZ from its node values (see `invert_ci`), one
+    column per shift in `c`.
 
     The estimate is interpolated linearly between the end nodes and the
     squared SE by the quadratic through all three nodes, so each reproduces
@@ -359,13 +375,13 @@ def _stat_at_shift(vals: np.ndarray, nodes, c: float, studentization: str) -> np
     """
     c0, c1, c2 = nodes
     u = (c - c0) / (c2 - c0)
-    tau = (1 - u) * vals[:, 0] + u * vals[:, 1]
+    tau = (1 - u) * vals[:, 0:1] + u * vals[:, 1:2]
     if studentization == "none":
         return tau
     l0 = (c - c1) * (c - c2) / ((c0 - c1) * (c0 - c2))
     l1 = (c - c0) * (c - c2) / ((c1 - c0) * (c1 - c2))
     l2 = (c - c0) * (c - c1) / ((c2 - c0) * (c2 - c1))
-    return _studentized(tau, l0 * vals[:, 2] + l1 * vals[:, 3] + l2 * vals[:, 4])
+    return _studentized(tau, l0 * vals[:, 2:3] + l1 * vals[:, 3:4] + l2 * vals[:, 4:5])
 
 
 def invert_ci(
@@ -384,10 +400,13 @@ def invert_ci(
     """Confidence interval by inverting constant-effect randomization tests.
 
     Each grid point c is tested by running the FRT on outcomes Y - cZ
-    (subtracted at the unit level, before any cluster collapsing); the
-    interval is the smallest and largest non-rejected grid point. All grid
+    (subtracted at the unit level, before any cluster collapsing). All grid
     points share one set of reference assignments, so the acceptance region
-    boundary is stable.
+    boundary is stable. The interval ends where the acceptance region ends:
+    each endpoint is the last accepted shift of a bisection, to float
+    resolution, between the outermost non-rejected grid point and its
+    rejected neighbour, so it carries no grid error; an accepted region that
+    reaches a grid edge ends there.
 
     The reference set is evaluated only at the grid's ends and midpoint.
     Every fit depends on the reference assignment and X alone, so a
@@ -433,7 +452,7 @@ def invert_ci(
     if exact:
         zmat = exhaustive_assignments(adesign)
     else:
-        zmat = _draw_matrix(adesign, _replicate_count(r), int(seed), nworkers)
+        zmat = _draw_matrix(adesign, _replicate_count(r), int(seed))
     m = zmat.shape[0]
 
     nodes = (lo, lo + (hi - lo) / 2, hi)
@@ -462,11 +481,27 @@ def invert_ci(
     vals = _eval_chunks(node_values, zmat, nworkers)
     obs_row = _locate_row(zmat, adata.z) if exact else None
     obs = vals[obs_row : obs_row + 1] if obs_row is not None else node_values(adata.z[None, :])
-    p_vals = np.empty(num)
-    for idx, c in enumerate(points):
-        t_obs = float(_stat_at_shift(obs, nodes, c, spec.studentization)[0])
-        extreme = _count_extreme(_stat_at_shift(vals, nodes, c, spec.studentization), t_obs, sided)
-        p_vals[idx] = extreme / m if exact else (1 + extreme) / (1 + m)
+
+    def p_at(shifts):
+        t_obs = _stat_at_shift(obs, nodes, shifts, spec.studentization)[0]
+        reps = _stat_at_shift(vals, nodes, shifts, spec.studentization)
+        extreme = _count_extreme(reps, t_obs, sided)
+        return extreme / m if exact else (1 + extreme) / (1 + m)
+
+    def boundary(inside, outside):
+        # keeps an accepted shift inside; 64 halvings pass float resolution
+        for _ in range(64):
+            mid = inside + (outside - inside) / 2
+            if mid in (inside, outside):
+                break
+            if p_at(np.array([mid]))[0] > alpha:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    cols = max(1, _GRID_ELEMENTS // m)
+    p_vals = np.concatenate([p_at(points[s : s + cols]) for s in range(0, num, cols)])
 
     accepted = p_vals > alpha
     if not accepted.any():
@@ -477,10 +512,12 @@ def invert_ci(
             nearest=float(points[best]),
             max_p=float(p_vals[best]),
         )
-    kept = points[accepted]
+    first, last = np.flatnonzero(accepted)[[0, -1]]
+    lower = points[0] if first == 0 else boundary(points[first], points[first - 1])
+    upper = points[-1] if last == num - 1 else boundary(points[last], points[last + 1])
     return CiResult(
-        float(kept.min()),
-        float(kept.max()),
+        float(lower),
+        float(upper),
         float(alpha),
         (float(lo), float(hi), float(step)),
         wald,

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import _studentized
-from .engine import FrtResult, _chunk_bounds, _count_extreme, _SIDES, worker_count
+from .engine import (
+    _SIDES,
+    FrtResult,
+    _chunk_bounds,
+    _count_extreme,
+    _streams,
+    worker_count,
+)
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -214,22 +221,13 @@ def refit_replicates(data: Dataset, permutations: np.ndarray, scheme: str):
     return out[:, 0], out[:, 1], out[:, 2]
 
 
-def _draw_permutations(n: int, r: int, seed: int, workers: int) -> np.ndarray:
+def _draw_permutations(n: int, r: int, seed: int) -> np.ndarray:
+    """R label shuffles drawn chunk by chunk, one stream per chunk."""
     out = np.empty((r, n), dtype=np.int64)
-
-    def fill(start: int, stop: int):
-        for i in range(start, stop):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-            out[i] = rng.permutation(n)
-
-    bounds = _chunk_bounds(r, n)
-    if len(bounds) == 1 or workers == 1:
-        fill(0, r)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda se: fill(*se), bounds))
+    for start, stop, rng in _streams(r, seed):
+        block = out[start:stop]
+        block[:] = np.arange(n)
+        rng.permuted(block, axis=1, out=block)
     return out
 
 
@@ -246,7 +244,7 @@ def perm_lm_p_value(
 
     The observed statistic is the treatment coefficient of the full fit,
     studentized as `spec` asks; replicates follow the scheme's permutation
-    recipe with label shuffles drawn from per-replicate streams.
+    recipe with label shuffles drawn in fixed chunks, one stream per chunk.
     """
     if sided not in _SIDES:
         raise InvariantViolation(f"sided must be one of {_SIDES}, got {sided!r}")
@@ -256,7 +254,7 @@ def perm_lm_p_value(
     prep = _Projection(data)
     t_obs = prep.observed_stat(spec.studentization)
     nworkers = worker_count(workers)
-    perms = _draw_permutations(data.n, r, int(seed), nworkers)
+    perms = _draw_permutations(data.n, r, int(seed))
     bounds = _chunk_bounds(r, data.n)
     if len(bounds) == 1:
         vals = prep.replicate_stats(perms, spec)

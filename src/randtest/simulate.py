@@ -148,8 +148,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioRes
     """Rejection rates over `reps` fresh assignments of one population.
 
     Repetition r draws its assignment from the stream seeded by
-    (assignment_seed, r); the randomization test inside repetition r uses
-    its own seed from a separate derived sequence, so no stream is reused.
+    (assignment_seed, r). The randomization test inside repetition r gets
+    its own seed from a separate derived sequence and draws its reference
+    set in fixed chunks, chunk c from the stream seeded by (that seed, c),
+    so no stream is reused and no result depends on the worker count.
     """
     pop = make_population(cfg)
     specs = list(cfg.statistics)

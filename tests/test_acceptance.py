@@ -3,7 +3,7 @@
 Each test prints a single PASS/FAIL verdict line (visible under -s); the
 assertion message carries the details when something breaks. The scenario
 reproductions (stratified null and power, restricted-test invalidity) run
-their frozen configurations at full scale, so this file takes a few minutes.
+their frozen configurations at full scale, so this file takes about a minute.
 """
 
 import json
@@ -40,6 +40,8 @@ from randtest.cli import main as cli_main
 
 from conftest import gen, random_dataset
 
+pytestmark = pytest.mark.acceptance
+
 
 def verdict(label, failures):
     print(f"[acceptance] {label}: {'FAIL' if failures else 'PASS'}")
@@ -66,7 +68,9 @@ def test_01_exact_test_valid_at_every_achievable_level():
     p_by_spec = {}
     for col, spec in enumerate(ALL_SPECS):
         vals = np.abs(stats[:, col])
-        counts = (vals[None, :] >= vals[:, None]).sum(axis=1)
+        # a replicate within a relative 1e-9 of the observed value ties with it
+        tol = 1e-9 * np.maximum(1.0, vals)
+        counts = (vals[None, :] >= (vals - tol)[:, None]).sum(axis=1)
         p = counts / zmat.shape[0]
         p_by_spec[spec.label] = p
         for alpha in np.unique(p):

@@ -5,7 +5,7 @@ check for the whole engine."""
 import numpy as np
 import pytest
 
-from randtest import ALL_SPECS, Dataset, DegenerateArm, StatisticSpec, statistic
+from randtest import ALL_SPECS, Dataset, DegenerateArm, InvalidSizes, StatisticSpec, statistic
 from randtest._batch import CompleteEvaluator, StratifiedEvaluator, make_evaluator, stat_matrix
 from conftest import gen, random_dataset
 
@@ -100,3 +100,12 @@ def test_triples_values_match_estimate():
         assert abs(tau[0] - ref.tau_hat) < 1e-11
         assert abs(se2_c[0] - ref.se_classic**2) < 1e-11
         assert abs(se2_r[0] - ref.se_robust**2) < 1e-11
+
+
+@pytest.mark.parametrize("adjustment", "nrfl")
+def test_mixed_arm_sizes_rejected(adjustment):
+    data = random_dataset(131, n=20, j=1)
+    zmat = _random_zmat(gen(137), 6, 20, 10)
+    zmat[4, np.flatnonzero(zmat[4] == 0)[0]] = 1  # row 4 treats 11 units
+    with pytest.raises(InvalidSizes):
+        CompleteEvaluator(data.y, data.x).triples(zmat, adjustment)

@@ -162,6 +162,27 @@ def test_rem_timeout():
     assert exc.value.tries == 256
 
 
+def test_rem_timeout_reports_accepted_fraction():
+    # about half the candidates pass, but the budget allows two per row
+    rng = gen(37)
+    x = rng.normal(size=(30, 1))
+    design = RerandomizedDesign(CompleteDesign(30, 15), chi2_quantile(0.5, 1), x)
+    with pytest.raises(AcceptanceTimeout) as exc:
+        design.draw_batch(rng, 100, max_tries=2)
+    tries, rate = exc.value.tries, exc.value.acceptance_rate
+    accepted = round(rate * tries)
+    assert 0 < accepted < 100
+    assert rate == accepted / tries
+    assert tries == 2 * (accepted + 1)
+
+
+def test_mahalanobis_many_rejects_mixed_arm_sizes():
+    x = gen(41).normal(size=(10, 2))
+    zmat = np.array([[1] * 5 + [0] * 5, [1] * 4 + [0] * 6])
+    with pytest.raises(InvalidSizes):
+        mahalanobis_many(zmat, x)
+
+
 def test_draw_dispatch_and_counts():
     rng = gen(31)
     design = CompleteDesign(6, 3)

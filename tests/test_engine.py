@@ -1,6 +1,7 @@
 """Randomization-test engine: exact enumeration, Monte Carlo p-values,
 parallel determinism, and interval inversion."""
 
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +44,17 @@ def test_complete_enumeration_counts():
     assert zmat.shape == (6, 4)
     assert np.all(zmat.sum(axis=1) == 2)
     assert len({tuple(r) for r in zmat}) == 6
+
+
+def test_complete_enumeration_is_lexicographic():
+    for n in range(11):
+        for n1 in range(n + 1):
+            want = np.zeros((math.comb(n, n1), n), dtype=np.uint8)
+            for i, treated in enumerate(itertools.combinations(range(n), n1)):
+                want[i, list(treated)] = 1
+            got = engine._enumerate_complete(n, n1)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want, err_msg=f"n={n} n1={n1}")
 
 
 def test_stratified_enumeration_counts():
