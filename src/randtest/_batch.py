@@ -40,6 +40,21 @@ def _studentized(tau: np.ndarray, se2: np.ndarray) -> np.ndarray:
     return t
 
 
+def _centered_qr(x: np.ndarray, yc: np.ndarray):
+    """(xc, q, e): the centered covariates, an orthonormal basis of their
+    span, and the residual of the centered outcome `yc` on (1, X).
+
+    Raises RankDeficient when the centered covariates are collinear.
+    """
+    xc = x - x.mean(axis=0)
+    q, r = np.linalg.qr(xc)
+    pivots = np.abs(np.diag(r))
+    if pivots.size and (pivots.max() == 0.0 or pivots.min() <= _QR_TOL * pivots.max()):
+        raise RankDeficient("centered covariates are collinear")
+    # y's mean is already out; project out the basis
+    return xc, q, yc - q @ (q.T @ yc)
+
+
 def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched linear solve; singular members yield NaN rows, not errors."""
     try:
@@ -70,14 +85,7 @@ class CompleteEvaluator:
         self.sum_y2 = float(self.yc2.sum())
 
         if self.j >= 1:
-            self.xc = x - x.mean(axis=0)
-            q, r = np.linalg.qr(self.xc)
-            pivots = np.abs(np.diag(r))
-            if pivots.size and (pivots.max() == 0.0 or pivots.min() <= _QR_TOL * pivots.max()):
-                raise RankDeficient("centered covariates are collinear")
-            self.q_basis = q
-            # Residual of y on (1, X): project out the mean, then the basis.
-            self.e = self.yc - q @ (q.T @ self.yc)
+            self.xc, self.q_basis, self.e = _centered_qr(x, self.yc)
             self.e2 = self.e * self.e
             self.sum_e2 = float(self.e2.sum())
             self.sxx = self.xc.T @ self.xc

@@ -155,26 +155,6 @@ def load_csv(path: str) -> Dataset:
 # -- report pieces -------------------------------------------------------------
 
 
-def _describe_design(design: DesignSpec, rem_cols=None) -> dict:
-    if isinstance(design, CompleteDesign):
-        return {"kind": "complete", "n": design.n_units, "n1": design.n_treated}
-    if isinstance(design, ClusterDesign):
-        return {
-            "kind": "cluster",
-            "clusters": design.n_clusters,
-            "treated_clusters": design.n_treated_clusters,
-        }
-    if isinstance(design, StratifiedDesign):
-        return {"kind": "stratified", "sizes": [list(s) for s in design.sizes]}
-    return {
-        "kind": "rem",
-        "n": design.base.n_units,
-        "n1": design.base.n_treated,
-        "threshold": design.threshold,
-        "columns": rem_cols,
-    }
-
-
 def _replicate_histogram(replicates: np.ndarray) -> dict:
     finite = replicates[np.isfinite(replicates)]
     if finite.size:
@@ -233,14 +213,6 @@ def _build_design(args, data: Dataset) -> tuple[DesignSpec, list[str] | None]:
     return design, chosen
 
 
-def _analysis_triple(data: Dataset, adjustment: str, design: DesignSpec):
-    if isinstance(design, ClusterDesign):
-        return estimate(cluster_collapse(data), adjustment)
-    if isinstance(design, StratifiedDesign):
-        return estimate_stratified(data, adjustment)
-    return estimate(data, adjustment)
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -248,7 +220,11 @@ def _cmd_analyze(args) -> dict:
     data = load_csv(args.data)
     spec = StatisticSpec(args.stat, args.student)
     design, rem_cols = _build_design(args, data)
-    triple = _analysis_triple(data, spec.adjustment, design)
+    adata, adesign = design.analysis_form(data)
+    triple = (estimate if adesign.strata is None else estimate_stratified)(adata, spec.adjustment)
+    described = design.describe()
+    if rem_cols is not None:
+        described["columns"] = rem_cols
     result = frt_p_value(
         data, spec, design, r=args.reps, seed=args.seed, exact=args.exact, sided=args.sided
     )
@@ -264,7 +240,7 @@ def _cmd_analyze(args) -> dict:
                 "clusters": None if data.clusters is None else int(data.clusters.max()) + 1,
             },
             "spec": {"adjustment": spec.adjustment, "studentization": spec.studentization},
-            "design": _describe_design(design, rem_cols),
+            "design": described,
             "seed": args.seed,
             "sided": args.sided,
             "mode": result.mode,

@@ -9,6 +9,18 @@ Every design draws a whole batch of assignments at once with
 of a batch are the rows a k-row batch from the same stream would hold.
 Batches are uint8 with one column per unit the design assigns (clusters
 for a cluster design).
+
+Each design also owns the rest of its part in the randomization test:
+
+- `count()`: the size of its assignment space (the base space for ReM);
+- `enumerate()`: every admissible assignment, one per row;
+- `analysis_form(data)`: the (dataset, design) pair the test analyzes,
+  checked against the observed arm sizes;
+- `describe()`: the design block of a CLI report.
+
+The design `analysis_form` returns names in `strata` the stratum codes its
+assignments are randomized within, None when there are none; statistics
+are combined over them.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ import scipy.linalg
 import scipy.special
 
 from .errors import AcceptanceTimeout, DimensionMismatch, InvalidSizes, InvariantViolation, SingularCovariance
+from .estimators import Dataset, cluster_collapse
 
 # Candidates in the first block of a rejection-sampling draw.
 _REJECTION_BATCH = 64
@@ -51,12 +64,39 @@ def _permuted_rows(rng: np.random.Generator, n1: int, out: np.ndarray) -> np.nda
     return rng.permuted(out, axis=1, out=out)
 
 
+def _enumerate_complete(n: int, n1: int) -> np.ndarray:
+    """Every assignment of n1 of n units, rows in the lexicographic order of
+    the treated index tuples (the order of itertools.combinations)."""
+    # level m holds, for each feasible j, the assignments of the last m units
+    # with j treated; those treating the first unit precede those that do not
+    level = {0: np.zeros((1, 0), dtype=np.uint8)}
+    for m in range(1, n + 1):
+        nxt = {}
+        for j in range(max(0, n1 - (n - m)), min(n1, m) + 1):
+            parts = [
+                np.hstack([np.full((sub.shape[0], 1), bit, dtype=np.uint8), sub])
+                for bit, sub in ((1, level.get(j - 1)), (0, level.get(j)))
+                if sub is not None
+            ]
+            nxt[j] = np.concatenate(parts)
+        level = nxt
+    return level[n1]
+
+
+def _check_observed(n: int, n1: int, data: Dataset, what: str = "treated"):
+    """The design must reproduce the observed arm sizes, so the observed
+    assignment belongs to the reference set it defines."""
+    if n != data.n or n1 != data.n1:
+        raise InvalidSizes(f"design says {n1}/{n} {what}, data has {data.n1}/{data.n}")
+
+
 @dataclass(frozen=True)
 class CompleteDesign:
     """Complete randomization: N1 of N units treated, uniformly."""
 
     n_units: int
     n_treated: int
+    strata = None
 
     def __post_init__(self):
         _check_arms(self.n_units, self.n_treated)
@@ -64,6 +104,19 @@ class CompleteDesign:
     def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
         """`rows` assignments, written into `out` ((rows, N) uint8) if given."""
         return _permuted_rows(rng, self.n_treated, _batch_out(rows, self.n_units, out))
+
+    def count(self) -> int:
+        return math.comb(self.n_units, self.n_treated)
+
+    def enumerate(self) -> np.ndarray:
+        return _enumerate_complete(self.n_units, self.n_treated)
+
+    def analysis_form(self, data: Dataset) -> tuple[Dataset, "CompleteDesign"]:
+        _check_observed(self.n_units, self.n_treated, data)
+        return data, self
+
+    def describe(self) -> dict:
+        return {"kind": "complete", "n": self.n_units, "n1": self.n_treated}
 
 
 @dataclass(frozen=True)
@@ -79,6 +132,26 @@ class ClusterDesign:
     def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
         """Cluster-level assignments, written into `out` ((rows, M) uint8) if given."""
         return _permuted_rows(rng, self.n_treated_clusters, _batch_out(rows, self.n_clusters, out))
+
+    def count(self) -> int:
+        return math.comb(self.n_clusters, self.n_treated_clusters)
+
+    def enumerate(self) -> np.ndarray:
+        return _enumerate_complete(self.n_clusters, self.n_treated_clusters)
+
+    def analysis_form(self, data: Dataset) -> tuple[Dataset, CompleteDesign]:
+        """Scaled cluster totals, analyzed as a complete design over clusters."""
+        collapsed = cluster_collapse(data)
+        m, m1 = self.n_clusters, self.n_treated_clusters
+        _check_observed(m, m1, collapsed, "treated clusters")
+        return collapsed, CompleteDesign(m, m1)
+
+    def describe(self) -> dict:
+        return {
+            "kind": "cluster",
+            "clusters": self.n_clusters,
+            "treated_clusters": self.n_treated_clusters,
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +216,36 @@ class StratifiedDesign:
                 np.put_along_axis(block, cols[pick], 1, axis=1)
         return out
 
+    def count(self) -> int:
+        return math.prod(math.comb(n_k, n_k1) for n_k, n_k1 in self.sizes)
+
+    def enumerate(self) -> np.ndarray:
+        """Rows cycle through stratum 0's assignments fastest."""
+        total = self.count()
+        out = np.zeros((total, self.n_units), dtype=np.uint8)
+        block = 1
+        for cols, (n_k, n_k1) in zip(self._members, self.sizes):
+            mat_k = _enumerate_complete(n_k, n_k1)
+            out[:, cols] = mat_k[(np.arange(total) // block) % mat_k.shape[0]]
+            block *= mat_k.shape[0]
+        return out
+
+    def analysis_form(self, data: Dataset) -> tuple[Dataset, "StratifiedDesign"]:
+        if data.strata is None:
+            raise InvariantViolation("a stratified design needs strata labels in the data")
+        if not np.array_equal(self.strata, data.strata):
+            raise InvariantViolation("design strata do not match the dataset's labels")
+        realized = StratifiedDesign.from_observed(data.strata, data.z)
+        if realized.sizes != self.sizes:
+            raise InvalidSizes(
+                f"design per-stratum arm sizes {self.sizes} do not match "
+                f"the realized ones {realized.sizes}"
+            )
+        return data, self
+
+    def describe(self) -> dict:
+        return {"kind": "stratified", "sizes": [list(s) for s in self.sizes]}
+
 
 class _BalanceMetric:
     """Design covariates whitened once for the Mahalanobis criterion.
@@ -192,6 +295,7 @@ class RerandomizedDesign:
     base: CompleteDesign
     threshold: float
     covariates: np.ndarray = field(repr=False)
+    strata = None
 
     def __post_init__(self):
         if not (self.threshold > 0):
@@ -251,6 +355,36 @@ class RerandomizedDesign:
             accepted += hits.size
             tries += size
         return out
+
+    def count(self) -> int:
+        """Size of the base space, an upper bound on the accepted ones."""
+        return self.base.count()
+
+    def enumerate(self) -> np.ndarray:
+        """The base space filtered by the balance criterion, in base order."""
+        base = self.base.enumerate()
+        step = max(1, _BLOCK_ELEMENTS // base.shape[1])
+        dist = np.concatenate(
+            [mahalanobis_many(base[s : s + step], self.balance) for s in range(0, len(base), step)]
+        )
+        keep = dist < self.threshold
+        if not keep.any():
+            raise InvariantViolation("no assignment satisfies the balance threshold")
+        return base[keep]
+
+    def analysis_form(self, data: Dataset) -> tuple[Dataset, "RerandomizedDesign"]:
+        self.base.analysis_form(data)
+        return data, self
+
+    def describe(self) -> dict:
+        """The CLI fills `columns` with the covariate names it balanced."""
+        return {
+            "kind": "rem",
+            "n": self.base.n_units,
+            "n1": self.base.n_treated,
+            "threshold": self.threshold,
+            "columns": None,
+        }
 
 
 DesignSpec = CompleteDesign | ClusterDesign | StratifiedDesign | RerandomizedDesign
@@ -348,18 +482,7 @@ def draw(design: DesignSpec, rng: np.random.Generator) -> np.ndarray:
 
 def assignment_count(design: DesignSpec) -> int:
     """Size of the assignment space (pre-filter upper bound for ReM)."""
-    if isinstance(design, CompleteDesign):
-        return math.comb(design.n_units, design.n_treated)
-    if isinstance(design, ClusterDesign):
-        return math.comb(design.n_clusters, design.n_treated_clusters)
-    if isinstance(design, StratifiedDesign):
-        total = 1
-        for n_k, n_k1 in design.sizes:
-            total *= math.comb(n_k, n_k1)
-        return total
-    if isinstance(design, RerandomizedDesign):
-        return assignment_count(design.base)
-    raise TypeError(f"unknown design {design!r}")
+    return design.count()
 
 
 def chi2_cdf(x, k):

@@ -5,6 +5,13 @@ the assignment space) or by Monte Carlo, for any statistic in `estimators`
 under complete, cluster, stratified, and rerandomized designs, and inverts
 the test over a grid of constant-effect nulls into a confidence interval.
 
+`frt_p_value` and `frt_p_values` share one core: the design supplies the
+analysis form (`analysis_form`) and the reference set (drawn, or enumerated
+through `count`/`enumerate`), the batch evaluator is built once, the
+reference set is evaluated in fixed row chunks (`_eval_chunks`, the only
+thread pool here), and the extreme replicates of every statistic are
+counted at once. `invert_ci` takes its reference set from the same place.
+
 Monte Carlo replicates are drawn in fixed chunks of `_STREAM_ROWS` rows;
 chunk c draws its rows as one batch from the stream seeded by (seed, c).
 The chunk size depends on nothing else, so replicate i is a function of the
@@ -26,19 +33,13 @@ import scipy.special
 
 from ._batch import _studentized, make_evaluator, stat_matrix
 from .designs import (
-    ClusterDesign,
-    CompleteDesign,
     DesignSpec,
-    RerandomizedDesign,
-    StratifiedDesign,
     _BLOCK_ELEMENTS,
-    assignment_count,
     draw,  # unused here; perfbench/spans.py traces design draws at this name
-    mahalanobis_many,
+    mahalanobis_many,  # unused here; perfbench/spans.py traces balance checks at this name
 )
 from .errors import (
     EmptyAcceptanceRegion,
-    InvalidSizes,
     InvariantViolation,
     TooLarge,
     ZeroSe,
@@ -47,7 +48,7 @@ from .estimators import (
     Dataset,
     EstimateTriple,
     StatisticSpec,
-    cluster_collapse,
+    cluster_collapse,  # unused here; perfbench/spans.py traces cluster collapses at this name
     estimate,
     estimate_stratified,
 )
@@ -117,102 +118,16 @@ def worker_count(requested: int | None = None) -> int:
     return max(1, int(count))
 
 
-def _analysis_form(data: Dataset, design: DesignSpec) -> tuple[Dataset, DesignSpec]:
-    """Dataset/design pair actually analyzed; collapses cluster designs.
-
-    Validates that the design reproduces the observed arm sizes, so the
-    observed assignment is a member of the reference set it defines.
-    """
-    if isinstance(design, ClusterDesign):
-        collapsed = cluster_collapse(data)
-        if collapsed.n != design.n_clusters or collapsed.n1 != design.n_treated_clusters:
-            raise InvalidSizes(
-                f"design says {design.n_treated_clusters}/{design.n_clusters} treated clusters, "
-                f"data has {collapsed.n1}/{collapsed.n}"
-            )
-        return collapsed, CompleteDesign(design.n_clusters, design.n_treated_clusters)
-    if isinstance(design, CompleteDesign):
-        if design.n_units != data.n or design.n_treated != data.n1:
-            raise InvalidSizes(
-                f"design says {design.n_treated}/{design.n_units} treated, "
-                f"data has {data.n1}/{data.n}"
-            )
-        return data, design
-    if isinstance(design, StratifiedDesign):
-        if data.strata is None:
-            raise InvariantViolation("a stratified design needs strata labels in the data")
-        if not np.array_equal(design.strata, data.strata):
-            raise InvariantViolation("design strata do not match the dataset's labels")
-        realized = StratifiedDesign.from_observed(data.strata, data.z)
-        if realized.sizes != design.sizes:
-            raise InvalidSizes(
-                f"design per-stratum arm sizes {design.sizes} do not match "
-                f"the realized ones {realized.sizes}"
-            )
-        return data, design
-    if isinstance(design, RerandomizedDesign):
-        base = design.base
-        if base.n_units != data.n or base.n_treated != data.n1:
-            raise InvalidSizes(
-                f"design says {base.n_treated}/{base.n_units} treated, "
-                f"data has {data.n1}/{data.n}"
-            )
-        return data, design
-    raise TypeError(f"unknown design {design!r}")
-
-
-def _enumerate_complete(n: int, n1: int) -> np.ndarray:
-    """Every assignment of n1 of n units, rows in the lexicographic order of
-    the treated index tuples (the order of itertools.combinations)."""
-    # level m holds, for each feasible j, the assignments of the last m units
-    # with j treated; those treating the first unit precede those that do not
-    level = {0: np.zeros((1, 0), dtype=np.uint8)}
-    for m in range(1, n + 1):
-        nxt = {}
-        for j in range(max(0, n1 - (n - m)), min(n1, m) + 1):
-            parts = [
-                np.hstack([np.full((sub.shape[0], 1), bit, dtype=np.uint8), sub])
-                for bit, sub in ((1, level.get(j - 1)), (0, level.get(j)))
-                if sub is not None
-            ]
-            nxt[j] = np.concatenate(parts)
-        level = nxt
-    return level[n1]
-
-
 def exhaustive_assignments(design: DesignSpec, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
     """All admissible assignments, one per row, each exactly once.
 
     For a rerandomized design the base space is enumerated and filtered by
     the balance criterion. The cap applies to the pre-filter count.
     """
-    total = assignment_count(design)
+    total = design.count()
     if total > cap:
         raise TooLarge(f"assignment space has {total} members, cap is {cap}")
-    if isinstance(design, CompleteDesign):
-        return _enumerate_complete(design.n_units, design.n_treated)
-    if isinstance(design, ClusterDesign):
-        return _enumerate_complete(design.n_clusters, design.n_treated_clusters)
-    if isinstance(design, StratifiedDesign):
-        out = np.zeros((total, design.strata.shape[0]), dtype=np.uint8)
-        block = 1
-        for k, (n_k, n_k1) in enumerate(design.sizes):
-            cols = np.nonzero(design.strata == k)[0]
-            mat_k = _enumerate_complete(n_k, n_k1)
-            idx = (np.arange(total) // block) % mat_k.shape[0]
-            out[:, cols] = mat_k[idx]
-            block *= mat_k.shape[0]
-        return out
-    if isinstance(design, RerandomizedDesign):
-        base = exhaustive_assignments(design.base, cap)
-        dist = np.concatenate(
-            [mahalanobis_many(base[s:e], design.balance) for s, e in _chunk_bounds(*base.shape)]
-        )
-        keep = dist < design.threshold
-        if not keep.any():
-            raise InvariantViolation("no assignment satisfies the balance threshold")
-        return base[keep]
-    raise TypeError(f"unknown design {design!r}")
+    return design.enumerate()
 
 
 def _streams(r: int, seed: int):
@@ -258,6 +173,18 @@ def _replicate_count(r) -> int:
     return r
 
 
+def _check_sided(sided: str):
+    if sided not in _SIDES:
+        raise InvariantViolation(f"sided must be one of {_SIDES}, got {sided!r}")
+
+
+def _reference_set(design: DesignSpec, r, seed, exact: bool) -> np.ndarray:
+    """The whole assignment space, or `r` draws from the stream of `seed`."""
+    if exact:
+        return exhaustive_assignments(design)
+    return _draw_matrix(design, _replicate_count(r), int(seed))
+
+
 def _locate_row(zmat: np.ndarray, z: np.ndarray) -> int | None:
     hits = np.flatnonzero((zmat == z.astype(zmat.dtype)).all(axis=1))
     return int(hits[0]) if hits.size else None
@@ -274,6 +201,28 @@ def _count_extreme(vals: np.ndarray, t_obs, sided: str):
     if sided == "two":
         return np.count_nonzero(~(np.abs(vals) < np.abs(t_obs) - tol), axis=0)
     return np.count_nonzero(~(vals < t_obs - tol), axis=0)
+
+
+def _frt(data, specs, design, r, seed, exact, sided, workers):
+    """(t_obs, replicates, p-values) of `specs` over one reference set.
+
+    Replicates are (rows, len(specs)); p-values follow the add-one rule in
+    Monte Carlo mode and are plain fractions in exact mode.
+    """
+    _check_sided(sided)
+    adata, adesign = design.analysis_form(data)
+    evaluator = make_evaluator(adata.y, adata.x, adesign.strata)
+    zmat = _reference_set(adesign, r, seed, exact)
+    vals = _eval_chunks(
+        lambda chunk: stat_matrix(evaluator, chunk, specs), zmat, worker_count(workers)
+    )
+    # exact mode reads t_obs off the enumerated observed row, so the observed
+    # assignment ties with itself bit for bit
+    row = _locate_row(zmat, adata.z) if exact else None
+    t_obs = vals[row] if row is not None else stat_matrix(evaluator, adata.z[None, :], specs)[0]
+    extreme = _count_extreme(vals, t_obs, sided)
+    m = vals.shape[0]
+    return t_obs, vals, extreme / m if exact else (1 + extreme) / (1 + m)
 
 
 def frt_p_value(
@@ -293,34 +242,11 @@ def frt_p_value(
     covariates held fixed) and applies the add-one rule; exact mode sweeps
     the whole assignment space. Two-sided tests compare absolute values.
     """
-    if sided not in _SIDES:
-        raise InvariantViolation(f"sided must be one of {_SIDES}, got {sided!r}")
-    adata, adesign = _analysis_form(data, design)
-    stratified = isinstance(adesign, StratifiedDesign)
-    evaluator = make_evaluator(adata.y, adata.x, adata.strata if stratified else None)
-    nworkers = worker_count(workers)
-
-    def stats(chunk):
-        return stat_matrix(evaluator, chunk, [spec])[:, 0]
-
-    if exact:
-        zmat = exhaustive_assignments(adesign)
-        vals = _eval_chunks(stats, zmat, nworkers)
-        row = _locate_row(zmat, adata.z)
-        if row is not None:
-            t_obs = float(vals[row])
-        else:
-            t_obs = float(stat_matrix(evaluator, adata.z[None, :], [spec])[0, 0])
-        p = _count_extreme(vals, t_obs, sided) / vals.shape[0]
-        return FrtResult(t_obs, vals, float(p), 0.0, "exact", int(seed), design, spec, sided)
-
-    r = _replicate_count(r)
-    t_obs = float(stat_matrix(evaluator, adata.z[None, :], [spec])[0, 0])
-    zmat = _draw_matrix(adesign, r, int(seed))
-    vals = _eval_chunks(stats, zmat, nworkers)
-    p = (1 + _count_extreme(vals, t_obs, sided)) / (1 + r)
-    mc_se = math.sqrt(p * (1 - p) / r)
-    return FrtResult(t_obs, vals, float(p), mc_se, "monte_carlo", int(seed), design, spec, sided)
+    t_obs, vals, p = _frt(data, [spec], design, r, seed, exact, sided, workers)
+    p = float(p[0])
+    mc_se = 0.0 if exact else math.sqrt(p * (1 - p) / vals.shape[0])
+    mode = "exact" if exact else "monte_carlo"
+    return FrtResult(float(t_obs[0]), vals[:, 0], p, mc_se, mode, int(seed), design, spec, sided)
 
 
 def frt_p_values(
@@ -339,19 +265,7 @@ def frt_p_values(
     between-statistic Monte Carlo noise when comparing them, and computes
     each adjustment's moments once per draw.
     """
-    if sided not in _SIDES:
-        raise InvariantViolation(f"sided must be one of {_SIDES}, got {sided!r}")
-    r = _replicate_count(r)
-    adata, adesign = _analysis_form(data, design)
-    stratified = isinstance(adesign, StratifiedDesign)
-    evaluator = make_evaluator(adata.y, adata.x, adata.strata if stratified else None)
-    nworkers = worker_count(workers)
-    t_obs = stat_matrix(evaluator, adata.z[None, :], specs)[0]
-    zmat = _draw_matrix(adesign, r, int(seed))
-    vals = _eval_chunks(lambda chunk: stat_matrix(evaluator, chunk, specs), zmat, nworkers)
-    p = np.empty(len(specs))
-    for j in range(len(specs)):
-        p[j] = (1 + _count_extreme(vals[:, j], float(t_obs[j]), sided)) / (1 + r)
+    t_obs, _, p = _frt(data, specs, design, r, seed, False, sided, workers)
     return t_obs, p
 
 
@@ -422,15 +336,9 @@ def invert_ci(
             f"got {spec.label}",
             stacklevel=2,
         )
-    if sided not in _SIDES:
-        raise InvariantViolation(f"sided must be one of {_SIDES}, got {sided!r}")
-    adata, adesign = _analysis_form(data, design)
-    stratified = isinstance(adesign, StratifiedDesign)
-    triple = (
-        estimate_stratified(adata, spec.adjustment)
-        if stratified
-        else estimate(adata, spec.adjustment)
-    )
+    _check_sided(sided)
+    adata, adesign = design.analysis_form(data)
+    triple = (estimate if adesign.strata is None else estimate_stratified)(adata, spec.adjustment)
     if grid is None:
         wald = wald_ci(triple, alpha)
         width = wald[1] - wald[0]
@@ -448,11 +356,7 @@ def invert_ci(
     points = np.linspace(lo, hi, num)
     step = (hi - lo) / (num - 1)
 
-    nworkers = worker_count(workers)
-    if exact:
-        zmat = exhaustive_assignments(adesign)
-    else:
-        zmat = _draw_matrix(adesign, _replicate_count(r), int(seed))
+    zmat = _reference_set(adesign, r, seed, exact)
     m = zmat.shape[0]
 
     nodes = (lo, lo + (hi - lo) / 2, hi)
@@ -463,10 +367,8 @@ def invert_ci(
         shifted = Dataset(
             data.y - c * z_float, data.z, x_arg, strata=data.strata, clusters=data.clusters
         )
-        adata_c, _ = _analysis_form(shifted, design)
-        evaluators.append(
-            make_evaluator(adata_c.y, adata_c.x, adata_c.strata if stratified else None)
-        )
+        adata_c, _ = design.analysis_form(shifted)
+        evaluators.append(make_evaluator(adata_c.y, adata_c.x, adesign.strata))
 
     def node_values(chunk):
         # per row: tau at lo and hi, then the squared SE at lo, mid and hi
@@ -478,7 +380,7 @@ def invert_ci(
             se2s.append(se2_robust if spec.studentization == "robust" else se2_classic)
         return np.column_stack([taus[0], taus[2], *se2s])
 
-    vals = _eval_chunks(node_values, zmat, nworkers)
+    vals = _eval_chunks(node_values, zmat, worker_count(workers))
     obs_row = _locate_row(zmat, adata.z) if exact else None
     obs = vals[obs_row : obs_row + 1] if obs_row is not None else node_values(adata.z[None, :])
 

@@ -90,20 +90,21 @@ class Dataset:
         strata = self.strata
         if strata is not None:
             strata = _integer_codes(strata, n, "strata")
-            for k in np.unique(strata):
-                zk = z[strata == k]
-                if zk.sum() < 2 or (zk == 0).sum() < 2:
-                    raise InvariantViolation(
-                        f"stratum {k} needs >= 2 units per arm, got "
-                        f"N1={int(zk.sum())}, N0={int((zk == 0).sum())}"
-                    )
+            arms = _arm_counts(strata, z)
+            bad = np.flatnonzero(arms.min(axis=1) < 2)
+            if bad.size:
+                k = int(bad[0])
+                raise InvariantViolation(
+                    f"stratum {k} needs >= 2 units per arm, got "
+                    f"N1={int(arms[k, 1])}, N0={int(arms[k, 0])}"
+                )
 
         clusters = self.clusters
         if clusters is not None:
             clusters = _integer_codes(clusters, n, "clusters")
-            for c in np.unique(clusters):
-                if len(np.unique(z[clusters == c])) > 1:
-                    raise MixedClusterTreatment(f"treatment varies within cluster {c}")
+            mixed = np.flatnonzero(_arm_counts(clusters, z).min(axis=1) > 0)
+            if mixed.size:
+                raise MixedClusterTreatment(f"treatment varies within cluster {int(mixed[0])}")
 
         for name, value in (("y", y), ("z", z), ("x", x), ("strata", strata), ("clusters", clusters)):
             if value is not None:
@@ -126,9 +127,10 @@ class Dataset:
     def j(self) -> int:
         return self.x.shape[1]
 
-    def with_z(self, z: np.ndarray) -> "Dataset":
-        """Copy of the dataset with a different assignment vector."""
-        return Dataset(self.y, z, self.x, self.strata, self.clusters)
+
+def _arm_counts(codes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(K, 2) control and treated unit counts for group codes 0..K-1."""
+    return np.bincount(2 * codes + z, minlength=2 * (int(codes.max()) + 1)).reshape(-1, 2)
 
 
 def _integer_codes(labels, n: int, name: str) -> np.ndarray:
@@ -357,15 +359,12 @@ def cluster_collapse(data: Dataset) -> Dataset:
     Outcome and covariate columns are summed within cluster and divided by
     the average cluster size nbar = N/M, giving an M-row dataset analyzed as
     a complete randomization over clusters. Strata and cluster labels are
-    dropped.
+    dropped. A Dataset never holds a cluster with mixed treatment.
     """
     if data.clusters is None:
         raise InvariantViolation("dataset has no cluster labels")
     codes = data.clusters
     m = int(codes.max()) + 1
-    for c in range(m):
-        if len(np.unique(data.z[codes == c])) > 1:
-            raise MixedClusterTreatment(f"treatment varies within cluster {c}")
     nbar = data.n / m
     y_tilde = np.bincount(codes, weights=data.y, minlength=m) / nbar
     x_tilde = np.empty((m, data.j))

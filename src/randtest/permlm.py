@@ -25,19 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import _studentized
+from ._batch import _centered_qr, _studentized
 from .engine import (
-    _SIDES,
     FrtResult,
-    _chunk_bounds,
+    _check_sided,
     _count_extreme,
+    _eval_chunks,
+    _replicate_count,
     _streams,
     worker_count,
 )
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
-    RankDeficient,
     ZeroDenominator,
 )
 from .estimators import STUDENTIZATIONS, Dataset
@@ -91,16 +91,10 @@ class _Projection:
             raise InvariantViolation(f"need N > J + 2, got N={n}, J={j}")
         self.n, self.j = n, j
         self.yc = data.y - data.y.mean()
-        xc = data.x - data.x.mean(axis=0)
-        q, rmat = np.linalg.qr(xc)
-        diag = np.abs(np.diag(rmat))
-        if diag.size and (diag.max() == 0.0 or diag.min() <= 1e-10 * diag.max()):
-            raise RankDeficient("centered covariates are collinear")
-        self.q = q
-        self.e = self.yc - q @ (q.T @ self.yc)
+        _, self.q, self.e = _centered_qr(data.x, self.yc)
         z = data.z.astype(np.float64)
         p1 = data.n1 / n
-        self.delta = z - p1 - q @ (q.T @ z)
+        self.delta = z - p1 - self.q @ (self.q.T @ z)
         self.ss_delta = float(self.delta @ self.delta)
         if self.ss_delta <= 1e-10 * n * p1 * (1 - p1):
             raise ZeroDenominator("Z is in the span of (1, X)")
@@ -246,28 +240,14 @@ def perm_lm_p_value(
     studentized as `spec` asks; replicates follow the scheme's permutation
     recipe with label shuffles drawn in fixed chunks, one stream per chunk.
     """
-    if sided not in _SIDES:
-        raise InvariantViolation(f"sided must be one of {_SIDES}, got {sided!r}")
-    r = int(r)
-    if r < 1:
-        raise InvariantViolation(f"need at least one replicate, got R={r}")
+    _check_sided(sided)
+    r = _replicate_count(r)
     prep = _Projection(data)
     t_obs = prep.observed_stat(spec.studentization)
-    nworkers = worker_count(workers)
     perms = _draw_permutations(data.n, r, int(seed))
-    bounds = _chunk_bounds(r, data.n)
-    if len(bounds) == 1:
-        vals = prep.replicate_stats(perms, spec)
-    elif nworkers == 1:
-        vals = np.concatenate([prep.replicate_stats(perms[s:e], spec) for s, e in bounds])
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(
-                pool.map(lambda se: prep.replicate_stats(perms[se[0] : se[1]], spec), bounds)
-            )
-        vals = np.concatenate(parts)
+    vals = _eval_chunks(
+        lambda chunk: prep.replicate_stats(chunk, spec), perms, worker_count(workers)
+    )
     p = (1 + _count_extreme(vals, t_obs, sided)) / (1 + r)
     mc_se = math.sqrt(p * (1 - p) / r)
     return FrtResult(t_obs, vals, float(p), mc_se, "monte_carlo", int(seed), None, spec, sided)

@@ -7,8 +7,11 @@ import pytest
 
 from randtest import (
     AcceptanceTimeout,
+    ClusterDesign,
     CompleteDesign,
+    Dataset,
     InvalidSizes,
+    InvariantViolation,
     RerandomizedDesign,
     SingularCovariance,
     StratifiedDesign,
@@ -195,6 +198,73 @@ def test_draw_dispatch_and_counts():
     rdesign = RerandomizedDesign(CompleteDesign(6, 3), 5.0, x)
     assert assignment_count(rdesign) == 20  # pre-filter bound
     assert draw(rdesign, rng).sum() == 3
+
+
+def _protocol_case(kind):
+    """(design, valid data, data with other arm sizes, the parent CLI's
+    design block) for one small design."""
+    rng = gen(53)
+    x = rng.normal(size=(9, 1))
+    y = rng.normal(size=9)
+    if kind == "complete":
+        z = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0])
+        return (
+            CompleteDesign(9, 3),
+            Dataset(y, z, x),
+            Dataset(y, np.roll(z, 1) | np.eye(9, dtype=np.int64)[8], x),
+            {"kind": "complete", "n": 9, "n1": 3},
+        )
+    if kind == "cluster":
+        clusters = np.array([0, 0, 1, 1, 2, 3, 3, 4, 5])
+        zc = np.array([1, 1, 1, 0, 0, 0])
+        return (
+            ClusterDesign(6, 3),
+            Dataset(y, zc[clusters], x, clusters=clusters),
+            Dataset(y, np.roll(zc, 1)[clusters] | (clusters == 0), x, clusters=clusters),
+            {"kind": "cluster", "clusters": 6, "treated_clusters": 3},
+        )
+    if kind == "stratified":
+        strata = np.repeat([0, 1], [4, 5])
+        z = np.array([1, 1, 0, 0, 1, 1, 0, 0, 0])
+        return (
+            StratifiedDesign(strata, ((4, 2), (5, 2))),
+            Dataset(y, z, x, strata=strata),
+            Dataset(y, np.array([1, 1, 0, 0, 1, 1, 1, 0, 0]), x, strata=strata),
+            {"kind": "stratified", "sizes": [[4, 2], [5, 2]]},
+        )
+    a = chi2_quantile(0.5, 1)
+    z = np.array([1, 1, 1, 1, 0, 0, 0, 0, 0])
+    return (
+        RerandomizedDesign(CompleteDesign(9, 4), a, x),
+        Dataset(y, z, x),
+        Dataset(y, np.array([1, 1, 1, 0, 0, 0, 0, 0, 0]), x),
+        {"kind": "rem", "n": 9, "n1": 4, "threshold": a, "columns": None},
+    )
+
+
+@pytest.mark.parametrize("kind", ["complete", "cluster", "stratified", "rem"])
+def test_design_protocol(kind):
+    design, data, other_sizes, block = _protocol_case(kind)
+    rows = design.enumerate()
+    assert len({tuple(r) for r in rows}) == rows.shape[0]
+    if kind == "rem":
+        assert 0 < rows.shape[0] < design.count() == math.comb(9, 4)
+        assert np.all(mahalanobis_many(rows, design.covariates) < design.threshold)
+    else:
+        assert design.count() == rows.shape[0]
+    assert list(design.describe().items()) == list(block.items())
+
+    adata, adesign = design.analysis_form(data)
+    assert adesign.enumerate().shape[1] == adata.n
+    with pytest.raises(InvalidSizes):
+        design.analysis_form(other_sizes)
+    if kind == "stratified":
+        moved = np.array([0, 0, 0, 1, 1, 1, 1, 1, 0])
+        relabeled = Dataset(data.y, data.z, data.x, strata=moved)
+        with pytest.raises(InvariantViolation):
+            design.analysis_form(relabeled)
+        with pytest.raises(InvariantViolation):
+            design.analysis_form(Dataset(data.y, data.z, data.x))
 
 
 def test_chi2_cdf_values():

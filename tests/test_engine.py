@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randtest.designs as designs
 import randtest.engine as engine
 from randtest import (
     ALL_SPECS,
+    ClusterDesign,
     CompleteDesign,
     Dataset,
     EmptyAcceptanceRegion,
@@ -52,7 +54,7 @@ def test_complete_enumeration_is_lexicographic():
             want = np.zeros((math.comb(n, n1), n), dtype=np.uint8)
             for i, treated in enumerate(itertools.combinations(range(n), n1)):
                 want[i, list(treated)] = 1
-            got = engine._enumerate_complete(n, n1)
+            got = designs._enumerate_complete(n, n1)
             assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, want, err_msg=f"n={n} n1={n1}")
 
@@ -184,10 +186,28 @@ def test_designer_analyzer_mismatch_allowed():
     assert 0 < res.p_value <= 1
 
 
-def test_frt_p_values_matches_single_calls():
+def _design_case(kind):
+    """(data, design) with 24 analyzed units (12 for clusters), J = 2."""
     data = random_dataset(257, n=24, j=2)
-    design = CompleteDesign(24, 12)
-    specs = [N_NONE, N_ROBUST, StatisticSpec("l", "robust")]
+    if kind == "complete":
+        return data, CompleteDesign(24, 12)
+    if kind == "cluster":
+        clusters = np.repeat(np.arange(12), 2)
+        z = np.repeat(np.tile([1, 0], 6), 2)
+        return Dataset(data.y, z, data.x, clusters=clusters), ClusterDesign(12, 6)
+    if kind == "stratified":
+        strata = np.repeat([0, 1], 12)
+        z = np.tile(np.repeat([1, 0], 6), 2)
+        data = Dataset(data.y, z, data.x, strata=strata)
+        return data, StratifiedDesign.from_observed(strata, z)
+    return data, RerandomizedDesign(CompleteDesign(24, 12), chi2_quantile(0.5, 2), data.x)
+
+
+@pytest.mark.parametrize("kind", ["complete", "cluster", "stratified", "rem"])
+def test_frt_p_values_matches_single_calls(kind, monkeypatch):
+    data, design = _design_case(kind)
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 24 * 37)  # several evaluation chunks
+    specs = list(ALL_SPECS)
     t_obs, p = frt_p_values(data, specs, design, r=150, seed=9)
     for i, spec in enumerate(specs):
         single = frt_p_value(data, spec, design, r=150, seed=9)

@@ -11,6 +11,7 @@ from randtest import (
     DegenerateArm,
     EmptyStratum,
     EstimateTriple,
+    InvariantViolation,
     MixedClusterTreatment,
     StatisticSpec,
     center_covariates,
@@ -328,6 +329,21 @@ def test_split_cluster_treatment_rejected_at_construction():
             np.zeros((4, 1)),
             clusters=np.array([0, 0, 1, 1]),
         )
+
+
+def test_construction_names_the_first_bad_cluster_and_stratum():
+    y, x = np.arange(12.0), np.zeros((12, 1))
+    # clusters 2 and 5 mix treatment; cluster codes follow first appearance
+    z = np.array([1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1])
+    with pytest.raises(MixedClusterTreatment, match=r"^treatment varies within cluster 2$"):
+        Dataset(y, z, x, clusters=np.repeat(np.arange(6), 2))
+    # strata 1 and 3 have a single unit in one arm
+    y, x = np.arange(20.0), np.zeros((20, 1))
+    z = np.array([1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0])
+    with pytest.raises(
+        InvariantViolation, match=r"^stratum 1 needs >= 2 units per arm, got N1=1, N0=4$"
+    ):
+        Dataset(y, z, x, strata=np.repeat(np.arange(4), 5))
 
 
 # -- stratified combination ---------------------------------------------------
