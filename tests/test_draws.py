@@ -9,6 +9,7 @@ of its design.
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import randtest.engine as engine
 import randtest.permlm as permlm
@@ -170,6 +171,33 @@ def test_each_unit_treated_at_its_design_rate(kind):
             rate[STRATA == k] = n_k1 / n_k
     se = np.sqrt(rate * (1 - rate) / r)
     assert np.all(np.abs(zmat.mean(axis=0) - rate) < 4 * se)
+
+
+# Tiny designs whose whole space is enumerated: complete with either arm the
+# smaller, clusters, strata interleaved with arm sizes on both sides of half,
+# and ReM keeping part of a complete space.
+UNIFORMITY_DESIGNS = {
+    "complete": CompleteDesign(8, 3),
+    "complete-big-arm": CompleteDesign(8, 5),
+    "cluster": ClusterDesign(7, 3),
+    "stratified": StratifiedDesign(np.array([0, 1, 0, 1, 1, 0, 1, 0, 1]), ((4, 2), (5, 3))),
+    "rem": RerandomizedDesign(CompleteDesign(8, 4), chi2_quantile(0.5, 2), gen(3).normal(size=(8, 2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNIFORMITY_DESIGNS))
+def test_draws_are_jointly_uniform_over_the_space(kind):
+    # chi-square of Monte Carlo draws against the enumerated space: every
+    # admissible assignment equally likely, nothing else ever drawn
+    design = UNIFORMITY_DESIGNS[kind]
+    space = design.enumerate()
+    weights = 1 << np.arange(space.shape[1], dtype=np.int64)
+    codes = np.sort(space @ weights)
+    zmat = design.draw_batch(gen(17), 200 * codes.size)
+    cell = np.searchsorted(codes, zmat @ weights)
+    assert np.array_equal(codes[np.minimum(cell, codes.size - 1)], zmat @ weights)
+    counts = np.bincount(cell, minlength=codes.size)
+    assert scipy.stats.chisquare(counts).pvalue > 1e-3
 
 
 def test_rem_draws_match_single_candidate_filter():
