@@ -40,6 +40,7 @@ from .errors import (
     DimensionMismatch,
     EmptyAcceptanceRegion,
     EmptyStratum,
+    InvalidConfig,
     InvalidSizes,
     InvariantViolation,
     MixedClusterTreatment,

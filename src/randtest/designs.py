@@ -10,6 +10,15 @@ of a batch are the rows a k-row batch from the same stream would hold.
 Batches are uint8 with one column per unit the design assigns (clusters
 for a cluster design).
 
+All four designs share one sampler. Each row draws one uniform float64 key
+per unit with `rng.random`. In each group of units, one `np.partition` finds
+the row's threshold, the group's N1-th smallest key, and the units with keys
+at or below it are treated. Complete, cluster and ReM candidate rows are one
+group; a stratified design has one group per stratum. A key tying the
+threshold (probability about N^2 / 2^54 per row) would treat one unit too
+many; such a row is redone from its own keys by a stable sort, drawing
+nothing more, so the prefix property holds.
+
 Each design also owns the rest of its part in the randomization test:
 
 - `count()`: the size of its assignment space (the base space for ReM);
@@ -53,15 +62,32 @@ def _check_arms(n: int, n1: int, what: str = "units"):
         raise InvalidSizes(f"need 2 <= treated {what} <= total - 2, got {n1} of {n}")
 
 
-def _batch_out(rows: int, n: int, out: np.ndarray | None) -> np.ndarray:
-    return np.empty((rows, n), dtype=np.uint8) if out is None else out
+def _key_rows(rng: np.random.Generator, groups, rows: int, out=None, order=None) -> np.ndarray:
+    """`rows` uniform assignments, written into `out` ((rows, N) uint8) if given.
 
-
-def _permuted_rows(rng: np.random.Generator, n1: int, out: np.ndarray) -> np.ndarray:
-    """Fill each row of `out` with a uniform assignment of n1 treated."""
-    out[:] = 0
-    out[:, :n1] = 1
-    return rng.permuted(out, axis=1, out=out)
+    Each (start, stop, n1) group of key positions treats the units holding
+    its n1 smallest keys; key j of a row belongs to unit `order[j]` (unit j
+    without `order`).
+    """
+    n = groups[-1][1]
+    out = np.empty((rows, n), dtype=np.uint8) if out is None else out
+    # keys and the partition's copy of them stay within a block
+    step = max(1, _BLOCK_ELEMENTS // (4 * n))
+    for start in range(0, rows, step):
+        keys = rng.random((min(step, rows - start), n))
+        dest = out[start : start + keys.shape[0]]
+        block = dest if order is None else np.empty(keys.shape, dtype=np.uint8)
+        for a, b, n1 in groups:
+            part, marks = keys[:, a:b], block[:, a:b]
+            threshold = np.partition(part, n1 - 1, axis=1)[:, n1 - 1, None]
+            np.less_equal(part, threshold, out=marks)
+            # a key tying the threshold marks one unit too many
+            for i in np.flatnonzero(marks.sum(axis=1) != n1):
+                marks[i] = 0
+                marks[i, np.argsort(part[i], kind="stable")[:n1]] = 1
+        if order is not None:
+            dest[:, order] = block
+    return out
 
 
 def _enumerate_complete(n: int, n1: int) -> np.ndarray:
@@ -103,7 +129,7 @@ class CompleteDesign:
 
     def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
         """`rows` assignments, written into `out` ((rows, N) uint8) if given."""
-        return _permuted_rows(rng, self.n_treated, _batch_out(rows, self.n_units, out))
+        return _key_rows(rng, ((0, self.n_units, self.n_treated),), rows, out)
 
     def count(self) -> int:
         return math.comb(self.n_units, self.n_treated)
@@ -131,7 +157,7 @@ class ClusterDesign:
 
     def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
         """Cluster-level assignments, written into `out` ((rows, M) uint8) if given."""
-        return _permuted_rows(rng, self.n_treated_clusters, _batch_out(rows, self.n_clusters, out))
+        return _key_rows(rng, ((0, self.n_clusters, self.n_treated_clusters),), rows, out)
 
     def count(self) -> int:
         return math.comb(self.n_clusters, self.n_treated_clusters)
@@ -194,27 +220,24 @@ class StratifiedDesign:
         return self.strata.shape[0]
 
     @cached_property
-    def _members(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.flatnonzero(self.strata == k) for k in range(len(self.sizes)))
+    def _key_layout(self) -> tuple[np.ndarray | None, tuple[tuple[int, int, int], ...]]:
+        """The units in stratum order (None when they already are) and each
+        stratum's (start, stop, N_k1) key positions."""
+        stops = np.cumsum([n_k for n_k, _ in self.sizes]).tolist()
+        groups = tuple((stop - n_k, stop, n_k1) for stop, (n_k, n_k1) in zip(stops, self.sizes))
+        if np.all(np.diff(self.strata) >= 0):
+            return None, groups
+        return np.argsort(self.strata, kind="stable"), groups
 
     def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
         """`rows` assignments, written into `out` ((rows, N) uint8) if given.
 
         Each row treats the N_k1 units with the smallest uniform keys in
-        every stratum; keys are drawn row-major, one per unit.
+        every stratum; keys are drawn row-major, stratum by stratum, so
+        units already in stratum order need no reordering.
         """
-        n = self.n_units
-        out = _batch_out(rows, n, out)
-        out[:] = 0
-        # keys, one stratum's copy of them and its index array stay within a block
-        step = max(1, _BLOCK_ELEMENTS // (4 * n))
-        for start in range(0, rows, step):
-            block = out[start : start + step]
-            keys = rng.random(block.shape)
-            for cols, (_, n_k1) in zip(self._members, self.sizes):
-                pick = np.argpartition(keys[:, cols], n_k1 - 1, axis=1)[:, :n_k1]
-                np.put_along_axis(block, cols[pick], 1, axis=1)
-        return out
+        order, groups = self._key_layout
+        return _key_rows(rng, groups, rows, out, order)
 
     def count(self) -> int:
         return math.prod(math.comb(n_k, n_k1) for n_k, n_k1 in self.sizes)
@@ -224,9 +247,9 @@ class StratifiedDesign:
         total = self.count()
         out = np.zeros((total, self.n_units), dtype=np.uint8)
         block = 1
-        for cols, (n_k, n_k1) in zip(self._members, self.sizes):
+        for k, (n_k, n_k1) in enumerate(self.sizes):
             mat_k = _enumerate_complete(n_k, n_k1)
-            out[:, cols] = mat_k[(np.arange(total) // block) % mat_k.shape[0]]
+            out[:, self.strata == k] = mat_k[(np.arange(total) // block) % mat_k.shape[0]]
             block *= mat_k.shape[0]
         return out
 
@@ -334,9 +357,9 @@ class RerandomizedDesign:
         """
         if max_tries < 1:
             raise InvariantViolation(f"max_tries must be positive, got {max_tries}")
-        n, n1 = self.base.n_units, self.base.n_treated
+        n = self.base.n_units
         cap = max(1, _CANDIDATE_ELEMENTS // n)
-        out = _batch_out(rows, n, out)
+        out = np.empty((rows, n), dtype=np.uint8) if out is None else out
         accepted = tries = 0
         while accepted < rows:
             budget = max_tries * (accepted + 1)
@@ -348,7 +371,7 @@ class RerandomizedDesign:
                     acceptance_rate=accepted / tries,
                 )
             size = min(max(_REJECTION_BATCH, tries), cap, budget - tries)
-            candidates = _permuted_rows(rng, n1, np.empty((size, n), dtype=np.uint8))
+            candidates = self.base.draw_batch(rng, size)
             hits = np.flatnonzero(mahalanobis_many(candidates, self.balance) < self.threshold)
             hits = hits[: rows - accepted]
             out[accepted : accepted + hits.size] = candidates[hits]

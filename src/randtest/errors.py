@@ -83,6 +83,10 @@ class ParseError(RandtestError):
         self.column = column
 
 
+class InvalidConfig(RandtestError, ValueError):
+    """A statistic, scheme or scenario setting is malformed."""
+
+
 class InvariantViolation(RandtestError):
     """Loaded data violates a Dataset invariant."""
 

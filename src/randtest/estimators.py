@@ -25,6 +25,7 @@ from .errors import (
     DegenerateArm,
     DimensionMismatch,
     EmptyStratum,
+    InvalidConfig,
     InvariantViolation,
     MixedClusterTreatment,
 )
@@ -154,9 +155,9 @@ class StatisticSpec:
         adj = str(self.adjustment).lower()
         stud = str(self.studentization).lower()
         if adj not in ADJUSTMENTS:
-            raise ValueError(f"adjustment must be one of {ADJUSTMENTS}, got {self.adjustment!r}")
+            raise InvalidConfig(f"adjustment must be one of {ADJUSTMENTS}, got {self.adjustment!r}")
         if stud not in STUDENTIZATIONS:
-            raise ValueError(
+            raise InvalidConfig(
                 f"studentization must be one of {STUDENTIZATIONS}, got {self.studentization!r}"
             )
         object.__setattr__(self, "adjustment", adj)

@@ -37,6 +37,7 @@ from .engine import (
 )
 from .errors import (
     DimensionMismatch,
+    InvalidConfig,
     InvariantViolation,
     ZeroDenominator,
 )
@@ -66,10 +67,10 @@ class PermLmSpec:
     def __post_init__(self):
         key = str(self.scheme).lower().replace("_", "-")
         if key not in _ALIASES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise InvalidConfig(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         stud = str(self.studentization).lower()
         if stud not in STUDENTIZATIONS:
-            raise ValueError(
+            raise InvalidConfig(
                 f"studentization must be one of {STUDENTIZATIONS}, got {self.studentization!r}"
             )
         object.__setattr__(self, "scheme", _ALIASES[key])

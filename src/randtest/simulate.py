@@ -15,6 +15,7 @@ on the ball of squared radius a, and the mixture U(rho) built from it.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -30,10 +31,16 @@ from .designs import (
     draw,
 )
 from .engine import frt_p_values, worker_count
-from .errors import AcceptanceTimeout, InvariantViolation, UnknownScenario
+from .errors import AcceptanceTimeout, InvalidConfig, InvariantViolation, UnknownScenario
 from .estimators import ALL_SPECS, Dataset, StatisticSpec, _integer_codes
 
 _DESIGN_KINDS = ("complete", "stratified", "rem")
+_INTEGER_FIELDS = ("n", "reps", "permutations", "population_seed", "assignment_seed")
+# Numeric fields, type-checked before any comparison: (names, type, wording).
+_NUMBER_FIELDS = (
+    (_INTEGER_FIELDS, numbers.Integral, "an integer"),
+    (("treated_fraction", "alpha"), numbers.Real, "a number"),
+)
 
 
 @dataclass(frozen=True)
@@ -67,18 +74,27 @@ class ScenarioConfig:
     assignment_seed: int = 1
 
     def __post_init__(self):
+        for names, kind, what in _NUMBER_FIELDS:
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise InvalidConfig(f"{name} must be {what}, got {value!r}")
         if self.design_kind not in _DESIGN_KINDS:
             raise InvariantViolation(
                 f"design_kind must be one of {_DESIGN_KINDS}, got {self.design_kind!r}"
             )
         if self.reps < 1 or self.permutations < 1:
             raise InvariantViolation("reps and permutations must both be >= 1")
+        if self.population_seed < 0 or self.assignment_seed < 0:
+            raise InvariantViolation("seeds must be non-negative")
         if not 0 < self.alpha < 1:
             raise InvariantViolation(f"alpha must be in (0,1), got {self.alpha}")
         if not 0 < self.treated_fraction < 1:
             raise InvariantViolation("treated_fraction must be in (0,1)")
-        if self.design_kind == "rem" and not self.rem_threshold:
-            raise InvariantViolation("a rerandomized scenario needs rem_threshold")
+        if self.design_kind == "rem" and not (
+            isinstance(self.rem_threshold, numbers.Real) and self.rem_threshold > 0
+        ):
+            raise InvariantViolation("a rerandomized scenario needs a positive rem_threshold")
 
 
 @dataclass(frozen=True)
@@ -331,8 +347,11 @@ def builtin_scenario(name: str) -> ScenarioConfig:
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """ScenarioConfig from a parsed declarative config (JSON-shaped dict).
 
-    A `base` key starts from a built-in scenario and overrides fields.
+    A `base` key starts from a built-in scenario and overrides fields. A
+    malformed config raises InvalidConfig.
     """
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"a scenario config must be a JSON object, got {type(raw).__name__}")
     raw = dict(raw)
     base = raw.pop("base", None)
     if base is not None:
@@ -340,22 +359,27 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         updates = _parse_fields(raw)
         return replace(cfg, **updates)
     fields = _parse_fields(raw)
-    if "name" not in fields:
-        fields["name"] = "custom"
+    missing = [name for name in ("n", "treated", "control") if name not in fields]
+    if missing:
+        raise InvalidConfig(f"a scenario config without a base needs {missing}")
+    fields.setdefault("name", "custom")
     return ScenarioConfig(**fields)
 
 
 def _parse_fields(raw: dict) -> dict:
     out = {}
     for key, value in raw.items():
-        if key in ("treated", "control"):
-            out[key] = OutcomeModel(tuple(float(c) for c in value["poly"]), float(value["sd"]))
-        elif key == "statistics":
-            out[key] = tuple(StatisticSpec(*label.split(":")) for label in value)
-        elif key == "stratum_cutoffs":
-            out[key] = tuple(float(c) for c in value)
-        else:
-            out[key] = value
+        try:
+            if key in ("treated", "control"):
+                out[key] = OutcomeModel(tuple(float(c) for c in value["poly"]), float(value["sd"]))
+            elif key == "statistics":
+                out[key] = tuple(StatisticSpec(*str(label).split(":")) for label in value)
+            elif key == "stratum_cutoffs":
+                out[key] = tuple(float(c) for c in value)
+            else:
+                out[key] = value
+        except (KeyError, TypeError, ValueError) as err:
+            raise InvalidConfig(f"scenario field {key!r}: {type(err).__name__}: {err}") from err
     unknown = set(out) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise InvariantViolation(f"unknown scenario config fields: {sorted(unknown)}")

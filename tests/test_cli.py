@@ -311,6 +311,23 @@ def test_simulate_bad_json_config(tmp_path, capsysbinary):
     assert report["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"statistics": ["q:robust"]},
+        {"statistics": ["n:robust:extra"]},
+        {"reps": "abc"},
+        {"treated": {"poly": [0.0]}},
+    ],
+)
+def test_simulate_malformed_config_is_a_json_error(fields, tmp_path, capsysbinary):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"base": "complete-null", **fields}))
+    code, report = run_json(["simulate", str(path)], capsysbinary)
+    assert code == 1
+    assert report["error"]["type"] == "InvalidConfig"
+
+
 def test_simulate_unknown_scenario_is_a_file_error(capsysbinary):
     code, report = run_json(["simulate", "no-such-scenario"], capsysbinary)
     assert code == 1

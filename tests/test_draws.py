@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import randtest.designs as designs
 import randtest.engine as engine
 import randtest.permlm as permlm
 from randtest import (
@@ -134,11 +135,7 @@ def test_permlm_invariant_to_worker_count(monkeypatch):
         np.testing.assert_array_equal(res.replicates, runs[0].replicates)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_drawn_rows_are_valid(kind):
-    design = _design(kind)
-    zmat = _draw_matrix(design, 1500, seed=6)
-    assert zmat.shape[0] == 1500 and set(np.unique(zmat)) <= {0, 1}
+def _assert_arm_sizes(kind, design, zmat):
     if kind == "stratified":
         for k, (n_k, n_k1) in enumerate(design.sizes):
             assert np.all(zmat[:, STRATA == k].sum(axis=1) == n_k1)
@@ -147,6 +144,14 @@ def test_drawn_rows_are_valid(kind):
     else:
         base = design if kind == "complete" else design.base
         assert np.all(zmat.sum(axis=1) == base.n_treated)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_drawn_rows_are_valid(kind):
+    design = _design(kind)
+    zmat = _draw_matrix(design, 1500, seed=6)
+    assert zmat.shape[0] == 1500 and set(np.unique(zmat)) <= {0, 1}
+    _assert_arm_sizes(kind, design, zmat)
     if kind == "rem":
         assert np.all(mahalanobis_many(zmat, design.covariates) < design.threshold)
 
@@ -181,7 +186,9 @@ UNIFORMITY_DESIGNS = {
     "complete-big-arm": CompleteDesign(8, 5),
     "cluster": ClusterDesign(7, 3),
     "stratified": StratifiedDesign(np.array([0, 1, 0, 1, 1, 0, 1, 0, 1]), ((4, 2), (5, 3))),
-    "rem": RerandomizedDesign(CompleteDesign(8, 4), chi2_quantile(0.5, 2), gen(3).normal(size=(8, 2))),
+    "rem": RerandomizedDesign(
+        CompleteDesign(8, 4), chi2_quantile(0.5, 2), gen(3).normal(size=(8, 2))
+    ),
 }
 
 
@@ -200,6 +207,13 @@ def test_draws_are_jointly_uniform_over_the_space(kind):
     assert scipy.stats.chisquare(counts).pvalue > 1e-3
 
 
+def _single_candidate(rng, n, n1):
+    # one candidate drawn the sampler's way: the n1 units with the smallest keys
+    z = np.zeros(n, dtype=np.uint8)
+    z[np.argsort(rng.random(n), kind="stable")[:n1]] = 1
+    return z
+
+
 def test_rem_draws_match_single_candidate_filter():
     # the batch keeps exactly the accepted candidates, in stream order
     design = _design("rem")
@@ -207,8 +221,33 @@ def test_rem_draws_match_single_candidate_filter():
     rng = gen(21)
     kept = []
     while len(kept) < 40:
-        z = rng.permuted(np.repeat([1, 0], [14, 14]).astype(np.uint8))
+        z = _single_candidate(rng, 28, 14)
         if mahalanobis_many(z[None, :], design.covariates)[0] < design.threshold:
             kept.append(z)
     np.testing.assert_array_equal(rows, np.array(kept))
 
+
+class _TiedKeys:
+    """A generator whose keys take four values, so most rows tie at their
+    threshold and go through the repair."""
+
+    def __init__(self, seed):
+        self._rng = gen(seed)
+
+    def random(self, size):
+        return np.floor(self._rng.random(size) * 4) / 4
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tied_keys_are_repaired_from_their_own_row(kind, monkeypatch):
+    monkeypatch.setattr(designs, "_BLOCK_ELEMENTS", 4 * 28 * 5)  # 5-row key blocks
+    design = _design(kind)
+    zmat = design.draw_batch(_TiedKeys(4), 60)
+    np.testing.assert_array_equal(design.draw_batch(_TiedKeys(4), 23), zmat[:23])
+    _assert_arm_sizes(kind, design, zmat)
+    if kind == "complete":
+        # every row, repaired or not, is its keys' stable-sort assignment
+        keys = _TiedKeys(4).random((60, 28))
+        assert np.sum(keys <= np.sort(keys, axis=1)[:, 10:11], axis=1).max() > 11
+        stub = _TiedKeys(4)
+        np.testing.assert_array_equal(zmat, [_single_candidate(stub, 28, 11) for _ in range(60)])

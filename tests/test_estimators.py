@@ -11,6 +11,7 @@ from randtest import (
     DegenerateArm,
     EmptyStratum,
     EstimateTriple,
+    InvalidConfig,
     InvariantViolation,
     MixedClusterTreatment,
     StatisticSpec,
@@ -269,6 +270,13 @@ def test_statistic_hand_values(small_data):
     for adj in "nr":
         for stud in ("none", "classic", "robust"):
             assert statistic(const, StatisticSpec(adj, stud)) == 0.0
+
+
+def test_statistic_spec_rejects_bad_labels():
+    for bad in (("q", "robust"), ("n", "huber")):
+        with pytest.raises(InvalidConfig) as err:
+            StatisticSpec(*bad)
+        assert isinstance(err.value, ValueError)
 
 
 def test_studentize_zero_se_sentinel():

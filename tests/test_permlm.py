@@ -10,6 +10,7 @@ import scipy.stats
 from randtest import (
     CompleteDesign,
     Dataset,
+    InvalidConfig,
     PermLmSpec,
     StatisticSpec,
     ZeroDenominator,
@@ -34,8 +35,10 @@ def test_spec_normalization_and_label():
     assert PermLmSpec("freedman-lane").scheme == "fl"
     assert PermLmSpec("TB").scheme == "terbraak"
     assert PermLmSpec("Manly", "Robust").label == "manly:robust"
-    with pytest.raises(Exception):
-        PermLmSpec("bootstrap")
+    for bad in (("bootstrap",), ("fl", "huber")):
+        with pytest.raises(InvalidConfig) as err:
+            PermLmSpec(*bad)
+        assert isinstance(err.value, ValueError)
 
 
 def test_kennedy_equals_freedman_lane_coefficients():

@@ -6,14 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randtest import (
     ALL_SPECS,
     AcceptanceTimeout,
     CompleteDesign,
+    BUILTIN_SCENARIOS,
     Dataset,
+    InvalidConfig,
     InvariantViolation,
     OutcomeModel,
+    RandtestError,
     RerandomizedDesign,
     ScenarioConfig,
     StratifiedDesign,
@@ -207,11 +212,15 @@ def test_config_validation():
     with pytest.raises(InvariantViolation):
         flat_config(design_kind="rem")  # threshold missing
     with pytest.raises(InvariantViolation):
+        flat_config(design_kind="rem", rem_threshold="abc")
+    with pytest.raises(InvariantViolation):
         flat_config(alpha=1.0)
     with pytest.raises(InvariantViolation):
         flat_config(treated_fraction=1.0)
     with pytest.raises(InvariantViolation):
         flat_config(reps=0)
+    with pytest.raises(InvariantViolation):
+        flat_config(population_seed=-1)
 
 
 def test_degenerate_population_gives_exact_p_one():
@@ -309,6 +318,48 @@ def test_config_rejects_unknown_fields():
     with pytest.raises(InvariantViolation) as err:
         config_from_dict({"base": "complete-null", "bogus": 1})
     assert "bogus" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"statistics": ["q:robust"]},
+        {"statistics": ["n:robust:extra"]},
+        {"reps": "abc"},
+        {"permutations": 2.5},
+        {"alpha": "0.05"},
+        {"treated": {"poly": [0.0]}},
+        {"control": {"poly": ["x"], "sd": 1.0}},
+        {"stratum_cutoffs": [[0.0]]},
+    ],
+)
+def test_config_rejects_malformed_fields(fields):
+    with pytest.raises(InvalidConfig):
+        config_from_dict({"base": "complete-null", **fields})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**4) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_CONFIG_KEYS = st.sampled_from(sorted(ScenarioConfig.__dataclass_fields__) + ["bogus"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(_CONFIG_KEYS, _JSON | st.sampled_from(["n:robust", "f"]), max_size=4),
+    st.sampled_from([None, "no-such-base", *BUILTIN_SCENARIOS]),
+)
+def test_config_from_dict_fuzz(fields, base):
+    # any JSON-shaped config either parses or raises a RandtestError
+    raw = fields if base is None else {"base": base, **fields}
+    try:
+        cfg = config_from_dict(raw)
+    except RandtestError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
 
 
 def test_p_histogram():
