@@ -32,7 +32,6 @@ from .engine import (
     frt_p_values,
     invert_ci,
     wald_ci,
-    worker_count,
 )
 from .errors import (
     AcceptanceTimeout,
@@ -99,6 +98,7 @@ from .simulate import (
     sample_U,
     sample_truncated_L,
     u_variance,
+    worker_count,
 )
 
 __version__ = "0.1.0"

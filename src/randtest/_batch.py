@@ -21,7 +21,6 @@ Tests pin every path against the reference implementation.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateArm, DimensionMismatch, InvalidSizes, RankDeficient
 from .estimators import StatisticSpec

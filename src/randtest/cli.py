@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import io
 import json
 import math
 import sys
@@ -85,7 +86,18 @@ def json_bytes(obj) -> bytes:
     return (_dump(obj) + "\n").encode("utf-8")
 
 
-# -- CSV ----------------------------------------------------------------------
+# -- input files ----------------------------------------------------------------
+
+
+def _read_utf8(path: str, what: str) -> str:
+    """The file's text; a byte sequence that is not UTF-8 is a ParseError on its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{what}: not UTF-8 ({exc.reason})", row=row, column="") from None
 
 
 def load_csv(path: str) -> Dataset:
@@ -94,13 +106,14 @@ def load_csv(path: str) -> Dataset:
     Covariate columns must be numbered contiguously from x1. Cell errors
     report 1-based file row and the offending column name.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("empty file", row=0, column="") from None
+    reader = csv.reader(io.StringIO(_read_utf8(path, "bad CSV"), newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
         rows = [[cell.strip() for cell in row] for row in reader]
+    except StopIteration:
+        raise ParseError("empty file", row=0, column="") from None
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV: {exc}", row=reader.line_num, column="") from None
 
     index = {name: i for i, name in enumerate(header)}
     if len(index) != len(header):
@@ -307,9 +320,9 @@ def _cmd_simulate(args) -> dict:
     if args.scenario in BUILTIN_SCENARIOS:
         cfg = builtin_scenario(args.scenario)
     else:
+        text = _read_utf8(args.scenario, "bad scenario config")
         try:
-            with open(args.scenario, encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad scenario config: {exc}", row=exc.lineno, column="") from None
         cfg = config_from_dict(raw)

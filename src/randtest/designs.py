@@ -43,7 +43,7 @@ import scipy.linalg
 import scipy.special
 
 from .errors import AcceptanceTimeout, DimensionMismatch, InvalidSizes, InvariantViolation, SingularCovariance
-from .estimators import Dataset, cluster_collapse
+from .estimators import Dataset, _arm_counts, cluster_collapse
 
 # Candidates in the first block of a rejection-sampling draw.
 _REJECTION_BATCH = 64
@@ -208,12 +208,8 @@ class StratifiedDesign:
     def from_observed(cls, strata: np.ndarray, z: np.ndarray) -> "StratifiedDesign":
         """Design whose per-stratum arm sizes are the realized ones of z."""
         strata = np.asarray(strata, dtype=np.int64)
-        z = np.asarray(z)
-        sizes = []
-        for k in range(int(strata.max()) + 1):
-            zk = z[strata == k]
-            sizes.append((int(zk.shape[0]), int(zk.sum())))
-        return cls(strata, tuple(sizes))
+        arms = _arm_counts(strata, np.asarray(z, dtype=np.int64))
+        return cls(strata, tuple(zip(arms.sum(axis=1).tolist(), arms[:, 1].tolist())))
 
     @property
     def n_units(self) -> int:

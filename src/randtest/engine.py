@@ -16,16 +16,18 @@ Monte Carlo replicates are drawn in fixed chunks of `_STREAM_ROWS` rows;
 chunk c draws its rows as one batch from the stream seeded by (seed, c).
 The chunk size depends on nothing else, so replicate i is a function of the
 seed and i alone: results are reproducible, a run of R replicates is the
-prefix of any longer run with the same seed, and nothing depends on how
-evaluation is split over worker threads.
+prefix of any longer run with the same seed, and evaluation chunks, whose
+boundaries depend on the problem shape alone, keep results bitwise
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import (
+    ThreadPoolExecutor,  # unused here; perfbench/spans.py wraps pool tasks at this name
+)
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,27 +108,15 @@ class CiResult:
     upper_at_edge: bool
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Workers to use; the RANDTEST_THREADS env var caps but never raises it."""
-    count = requested if requested is not None else (os.cpu_count() or 1)
-    cap = os.environ.get("RANDTEST_THREADS")
-    if cap:
-        try:
-            count = min(count, int(cap))
-        except ValueError:
-            pass  # unparseable cap is ignored, results never depend on it
-    return max(1, int(count))
-
-
-def exhaustive_assignments(design: DesignSpec, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
+def exhaustive_assignments(design: DesignSpec) -> np.ndarray:
     """All admissible assignments, one per row, each exactly once.
 
     For a rerandomized design the base space is enumerated and filtered by
-    the balance criterion. The cap applies to the pre-filter count.
+    the balance criterion. `EXHAUSTIVE_CAP` applies to the pre-filter count.
     """
     total = design.count()
-    if total > cap:
-        raise TooLarge(f"assignment space has {total} members, cap is {cap}")
+    if total > EXHAUSTIVE_CAP:
+        raise TooLarge(f"assignment space has {total} members, cap is {EXHAUSTIVE_CAP}")
     return design.enumerate()
 
 
@@ -146,24 +136,19 @@ def _draw_matrix(design: DesignSpec, r: int, seed: int) -> np.ndarray:
 
 
 def _chunk_bounds(rows: int, n: int) -> list[tuple[int, int]]:
-    # Boundaries depend only on the problem shape, never on the worker
-    # count: array reductions must see identical shapes for bitwise
-    # reproducibility across parallelism settings.
+    # Boundaries depend only on the problem shape: a replicate's last bits
+    # depend on the shape of the chunk its reductions run over, so a
+    # shape-only split keeps results bitwise reproducible.
     size = max(1, _CHUNK_ELEMENTS // max(n, 1))
     return [(s, min(s + size, rows)) for s in range(0, rows, size)]
 
 
-def _eval_chunks(fn, zmat: np.ndarray, workers: int) -> np.ndarray:
+def _eval_chunks(fn, zmat: np.ndarray) -> np.ndarray:
     """`fn` over fixed row chunks of `zmat`, results stacked in row order."""
     bounds = _chunk_bounds(zmat.shape[0], zmat.shape[1])
     if len(bounds) == 1:
         return fn(zmat)
-    if workers == 1:
-        parts = [fn(zmat[s:e]) for s, e in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda se: fn(zmat[se[0] : se[1]]), bounds))
-    return np.concatenate(parts)
+    return np.concatenate([fn(zmat[s:e]) for s, e in bounds])
 
 
 def _replicate_count(r) -> int:
@@ -203,7 +188,7 @@ def _count_extreme(vals: np.ndarray, t_obs, sided: str):
     return np.count_nonzero(~(vals < t_obs - tol), axis=0)
 
 
-def _frt(data, specs, design, r, seed, exact, sided, workers):
+def _frt(data, specs, design, r, seed, exact, sided):
     """(t_obs, replicates, p-values) of `specs` over one reference set.
 
     Replicates are (rows, len(specs)); p-values follow the add-one rule in
@@ -213,9 +198,7 @@ def _frt(data, specs, design, r, seed, exact, sided, workers):
     adata, adesign = design.analysis_form(data)
     evaluator = make_evaluator(adata.y, adata.x, adesign.strata)
     zmat = _reference_set(adesign, r, seed, exact)
-    vals = _eval_chunks(
-        lambda chunk: stat_matrix(evaluator, chunk, specs), zmat, worker_count(workers)
-    )
+    vals = _eval_chunks(lambda chunk: stat_matrix(evaluator, chunk, specs), zmat)
     # exact mode reads t_obs off the enumerated observed row, so the observed
     # assignment ties with itself bit for bit
     row = _locate_row(zmat, adata.z) if exact else None
@@ -234,7 +217,6 @@ def frt_p_value(
     *,
     exact: bool = False,
     sided: str = "two",
-    workers: int | None = None,
 ) -> FrtResult:
     """Randomization-test p-value for one statistic.
 
@@ -242,7 +224,7 @@ def frt_p_value(
     covariates held fixed) and applies the add-one rule; exact mode sweeps
     the whole assignment space. Two-sided tests compare absolute values.
     """
-    t_obs, vals, p = _frt(data, [spec], design, r, seed, exact, sided, workers)
+    t_obs, vals, p = _frt(data, [spec], design, r, seed, exact, sided)
     p = float(p[0])
     mc_se = 0.0 if exact else math.sqrt(p * (1 - p) / vals.shape[0])
     mode = "exact" if exact else "monte_carlo"
@@ -257,7 +239,6 @@ def frt_p_values(
     seed: int = 0,
     *,
     sided: str = "two",
-    workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(t_obs, p_value) arrays for several statistics sharing one set of draws.
 
@@ -265,7 +246,7 @@ def frt_p_values(
     between-statistic Monte Carlo noise when comparing them, and computes
     each adjustment's moments once per draw.
     """
-    t_obs, _, p = _frt(data, specs, design, r, seed, False, sided, workers)
+    t_obs, _, p = _frt(data, specs, design, r, seed, False, sided)
     return t_obs, p
 
 
@@ -309,7 +290,6 @@ def invert_ci(
     *,
     exact: bool = False,
     sided: str = "two",
-    workers: int | None = None,
 ) -> CiResult:
     """Confidence interval by inverting constant-effect randomization tests.
 
@@ -380,7 +360,7 @@ def invert_ci(
             se2s.append(se2_robust if spec.studentization == "robust" else se2_classic)
         return np.column_stack([taus[0], taus[2], *se2s])
 
-    vals = _eval_chunks(node_values, zmat, worker_count(workers))
+    vals = _eval_chunks(node_values, zmat)
     obs_row = _locate_row(zmat, adata.z) if exact else None
     obs = vals[obs_row : obs_row + 1] if obs_row is not None else node_values(adata.z[None, :])
 

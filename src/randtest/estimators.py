@@ -338,19 +338,13 @@ def studentize(triple: EstimateTriple, studentization: str) -> float:
     return triple.tau_hat / se
 
 
-def statistic(data: Dataset, spec: StatisticSpec, *, stratified: bool | None = None) -> float:
+def statistic(data: Dataset, spec: StatisticSpec) -> float:
     """Evaluate one test statistic on the dataset.
 
-    By default the stratified (weighted) form is used exactly when strata
-    labels are present; pass `stratified` to override (e.g. a complete
-    analysis of stratified data).
+    The stratified (weighted) form is used exactly when strata labels are
+    present.
     """
-    if stratified is None:
-        stratified = data.strata is not None
-    if stratified:
-        triple = estimate_stratified(data, spec.adjustment)
-    else:
-        triple = estimate(data, spec.adjustment)
+    triple = (estimate if data.strata is None else estimate_stratified)(data, spec.adjustment)
     return studentize(triple, spec.studentization)
 
 

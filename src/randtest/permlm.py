@@ -33,7 +33,6 @@ from .engine import (
     _eval_chunks,
     _replicate_count,
     _streams,
-    worker_count,
 )
 from .errors import (
     DimensionMismatch,
@@ -233,7 +232,6 @@ def perm_lm_p_value(
     seed: int = 0,
     *,
     sided: str = "two",
-    workers: int | None = None,
 ) -> FrtResult:
     """Monte Carlo p-value for one scheme.
 
@@ -246,9 +244,7 @@ def perm_lm_p_value(
     prep = _Projection(data)
     t_obs = prep.observed_stat(spec.studentization)
     perms = _draw_permutations(data.n, r, int(seed))
-    vals = _eval_chunks(
-        lambda chunk: prep.replicate_stats(chunk, spec), perms, worker_count(workers)
-    )
+    vals = _eval_chunks(lambda chunk: prep.replicate_stats(chunk, spec), perms)
     p = (1 + _count_extreme(vals, t_obs, sided)) / (1 + r)
     mc_se = math.sqrt(p * (1 - p) / r)
     return FrtResult(t_obs, vals, float(p), mc_se, "monte_carlo", int(seed), None, spec, sided)

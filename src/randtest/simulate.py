@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -30,7 +31,7 @@ from .designs import (
     chi2_cdf,
     draw,
 )
-from .engine import frt_p_values, worker_count
+from .engine import frt_p_values
 from .errors import AcceptanceTimeout, InvalidConfig, InvariantViolation, UnknownScenario
 from .estimators import ALL_SPECS, Dataset, StatisticSpec, _integer_codes
 
@@ -79,6 +80,10 @@ class ScenarioConfig:
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise InvalidConfig(f"{name} must be {what}, got {value!r}")
+        for name in ("center", "shared_noise"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise InvalidConfig(f"{name} must be true or false, got {value!r}")
         if self.design_kind not in _DESIGN_KINDS:
             raise InvariantViolation(
                 f"design_kind must be one of {_DESIGN_KINDS}, got {self.design_kind!r}"
@@ -160,6 +165,18 @@ def make_population(cfg: ScenarioConfig) -> Population:
     return Population(y1, y0, x[:, None], None, design)
 
 
+def worker_count(requested: int | None = None) -> int:
+    """Workers to use; the RANDTEST_THREADS env var caps but never raises it."""
+    count = requested if requested is not None else (os.cpu_count() or 1)
+    cap = os.environ.get("RANDTEST_THREADS")
+    if cap:
+        try:
+            count = min(count, int(cap))
+        except ValueError:
+            pass  # unparseable cap is ignored, results never depend on it
+    return max(1, int(count))
+
+
 def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioResult:
     """Rejection rates over `reps` fresh assignments of one population.
 
@@ -183,9 +200,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioRes
         z = draw(pop.design, rng)
         y_obs = np.where(z == 1, pop.y1, pop.y0)
         data = Dataset(y_obs, z, pop.x, strata=pop.strata)
-        _, p = frt_p_values(
-            data, specs, pop.design, r=cfg.permutations, seed=int(frt_seeds[rep]), workers=1
-        )
+        _, p = frt_p_values(data, specs, pop.design, r=cfg.permutations, seed=int(frt_seeds[rep]))
         p_values[rep] = p
 
     nworkers = worker_count(workers)

@@ -7,8 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from randtest import ParseError
+from randtest import Dataset, ParseError, RandtestError
 from randtest.cli import json_bytes, load_csv, main
 
 CSV8 = """y,z,x1
@@ -133,6 +135,49 @@ def test_load_csv_missing_cell(tmp_path):
     with pytest.raises(ParseError) as err:
         load_csv(str(path))
     assert err.value.row == 3 and err.value.column == "x1"
+
+
+_HEADERS = st.sampled_from(["", "y,z\n", "y,z,x1\n", "y,z,x1,stratum\n", "z,y,cluster\n"])
+_BODY = st.text(alphabet="01.-e,\n\r\" x9naé\x00", max_size=120)
+_CSV_BYTES = st.binary(max_size=120) | st.builds(
+    lambda header, body, encoding: (header + body).encode(encoding),
+    _HEADERS,
+    _BODY,
+    st.sampled_from(["utf-8", "latin-1"]),
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_CSV_BYTES)
+def test_load_csv_fuzz(tmp_path, raw):
+    # any small byte file either loads or raises a RandtestError
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(raw)
+    try:
+        data = load_csv(str(path))
+    except RandtestError:
+        return
+    assert isinstance(data, Dataset)
+
+
+@pytest.mark.parametrize(
+    "command, last_line",
+    [
+        ("analyze", "0.5,0,0.3 café".encode("latin-1")),
+        ("permlm", "0.5,0,0.3 café".encode("latin-1")),
+        ("analyze", b"0.5,0," + b"9" * 200_000),  # over the csv module's field limit
+    ],
+    ids=["latin1-analyze", "latin1-permlm", "oversized-field"],
+)
+def test_bad_csv_bytes_are_json_errors(command, last_line, tmp_path, capsysbinary):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(CSV8.encode() + last_line + b"\n")
+    code, report = run_json([command, str(path)], capsysbinary)
+    assert code == 1
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["row"] == 10
 
 
 # -- analyze -------------------------------------------------------------------
@@ -309,6 +354,15 @@ def test_simulate_bad_json_config(tmp_path, capsysbinary):
     code, report = run_json(["simulate", str(path)], capsysbinary)
     assert code == 1
     assert report["error"]["type"] == "ParseError"
+
+
+def test_simulate_invalid_utf8_config(tmp_path, capsysbinary):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"base": "complete-null",\n "name": "café"}'.encode("latin-1"))
+    code, report = run_json(["simulate", str(path)], capsysbinary)
+    assert code == 1
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["row"] == 2
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 """Batched reference draws: the determinism contract and the draws' law.
 
 Reference assignments are drawn in chunks of `engine._STREAM_ROWS` rows,
-chunk c from the stream seeded by (seed, c). Results must not depend on the
-worker count, a run of R replicates must be the prefix of a longer run with
-the same seed, and every drawn row must be a valid, uniformly drawn member
-of its design.
+chunk c from the stream seeded by (seed, c). Results must not depend on how
+many chunks evaluation is split into, a run of R replicates must be the
+prefix of a longer run with the same seed, and every drawn row must be a
+valid, uniformly drawn member of its design.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from randtest import (
     RerandomizedDesign,
     StratifiedDesign,
     chi2_quantile,
-    frt_p_values,
     mahalanobis_many,
     perm_lm_p_value,
 )
@@ -112,27 +111,39 @@ def _data_for(kind):
     return Dataset(data.y, z, data.x)
 
 
+def _chunked_runs(monkeypatch, run, n):
+    """`run()` with the reference set in one evaluation chunk, then in
+    chunks of 50 and of 7 rows (`n` analyzed units per row)."""
+    runs = [run()]
+    for rows in (50, 7):
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", n * rows)
+        runs.append(run())
+    return runs
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_results_invariant_to_worker_count(kind, monkeypatch):
+def test_results_invariant_to_chunk_count(kind, monkeypatch):
     monkeypatch.setattr(engine, "_STREAM_ROWS", 64)
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 28 * 50)  # several evaluation chunks
     data, design = _data_for(kind), _design(kind)
-    runs = [
-        frt_p_values(data, list(ALL_SPECS), design, r=300, seed=9, workers=w) for w in (1, 2, 3)
-    ]
-    for t_obs, p in runs[1:]:
+    runs = _chunked_runs(
+        monkeypatch,
+        lambda: engine._frt(data, list(ALL_SPECS), design, 300, 9, False, "two"),
+        design.analysis_form(data)[1].n_units,
+    )
+    for t_obs, vals, p in runs[1:]:
         np.testing.assert_array_equal(t_obs, runs[0][0])
-        np.testing.assert_array_equal(p, runs[0][1])
+        np.testing.assert_array_equal(p, runs[0][2])
+        np.testing.assert_allclose(vals, runs[0][1], rtol=1e-12, atol=1e-12)
 
 
-def test_permlm_invariant_to_worker_count(monkeypatch):
+def test_permlm_invariant_to_chunk_count(monkeypatch):
     monkeypatch.setattr(engine, "_STREAM_ROWS", 64)
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 30 * 50)
     data = random_dataset(14, n=30, j=2)
     spec = PermLmSpec("fl", "robust")
-    runs = [perm_lm_p_value(data, spec, r=300, seed=2, workers=w) for w in (1, 2, 3)]
+    runs = _chunked_runs(monkeypatch, lambda: perm_lm_p_value(data, spec, r=300, seed=2), 30)
     for res in runs[1:]:
-        np.testing.assert_array_equal(res.replicates, runs[0].replicates)
+        assert res.p_value == runs[0].p_value
+        np.testing.assert_allclose(res.replicates, runs[0].replicates, rtol=1e-12, atol=1e-12)
 
 
 def _assert_arm_sizes(kind, design, zmat):

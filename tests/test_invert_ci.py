@@ -178,16 +178,17 @@ def test_closed_form_matches_grid_scan(name):
             assert inside.p_value > ALPHA >= outside.p_value, spec.label
 
 
-def test_chunked_and_threaded_inversion_is_bitwise_stable(monkeypatch):
+def test_chunked_inversion_is_bitwise_stable(monkeypatch):
     data = _complete(407, 60, 30)
     design = CompleteDesign(60, 30)
-    base = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5, workers=1)
+    base = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5)
     monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 60 * 37)
-    one = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5, workers=1)
-    three = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5, workers=3)
-    np.testing.assert_array_equal(one.p_values, three.p_values)
-    np.testing.assert_array_equal(one.p_values, base.p_values)
-    assert (one.lower, one.upper) == (three.lower, three.upper) == (base.lower, base.upper)
+    chunked = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5)
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 60 * 7)
+    finer = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5)
+    np.testing.assert_array_equal(chunked.p_values, finer.p_values)
+    np.testing.assert_array_equal(chunked.p_values, base.p_values)
+    assert (chunked.lower, chunked.upper) == (finer.lower, finer.upper) == (base.lower, base.upper)
 
 
 def test_grid_edge_truncation_is_flagged():
@@ -217,13 +218,15 @@ def test_p_curve_matches_grid():
     assert np.all((res.p_values >= 1 / 201) & (res.p_values <= 1))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_zero_replicates_rejected(workers):
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+def test_zero_replicates_rejected(chunk_rows, monkeypatch):
+    # rejected before evaluation, however small the evaluation chunks are
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 20 * chunk_rows)
     data = random_dataset(409, n=20, j=1)
     design = CompleteDesign(20, 10)
     with pytest.raises(InvariantViolation):
-        frt_p_values(data, [L_ROBUST], design, r=0, seed=1, workers=workers)
+        frt_p_values(data, [L_ROBUST], design, r=0, seed=1)
     with pytest.raises(InvariantViolation):
-        invert_ci(data, L_ROBUST, 0.05, design, r=0, seed=1, workers=workers)
+        invert_ci(data, L_ROBUST, 0.05, design, r=0, seed=1)
     with pytest.raises(InvariantViolation):
-        frt_p_value(data, L_ROBUST, design, r=0, seed=1, workers=workers)
+        frt_p_value(data, L_ROBUST, design, r=0, seed=1)

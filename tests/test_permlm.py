@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import randtest.engine as engine
 from randtest import (
     CompleteDesign,
     Dataset,
@@ -140,7 +141,7 @@ def test_replicates_look_normal_at_large_n():
         assert dist < 0.05, scheme
 
 
-def test_perm_lm_p_value_contract():
+def test_perm_lm_p_value_contract(monkeypatch):
     data = random_dataset(367, n=26, j=2)
     spec = PermLmSpec("fl", "robust")
     res = perm_lm_p_value(data, spec, r=99, seed=3)
@@ -148,8 +149,10 @@ def test_perm_lm_p_value_contract():
     assert res.design is None
     assert res.spec == spec
     assert res.p_value >= 1.0 / 100.0
-    again = perm_lm_p_value(data, spec, r=99, seed=3, workers=4)
-    np.testing.assert_array_equal(res.replicates, again.replicates)
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 26 * 10)  # ten evaluation chunks
+    again = perm_lm_p_value(data, spec, r=99, seed=3)
+    assert again.p_value == res.p_value
+    np.testing.assert_allclose(res.replicates, again.replicates, rtol=1e-12, atol=1e-12)
 
 
 def test_kennedy_fl_identical_p_values_on_shared_stream():

@@ -37,6 +37,7 @@ from randtest import (
     sample_U,
     sample_truncated_L,
     u_variance,
+    worker_count,
 )
 
 from conftest import gen
@@ -257,6 +258,17 @@ def test_scenario_parallel_matches_serial():
     np.testing.assert_array_equal(serial.p_values, threaded.p_values)
 
 
+def test_env_var_caps_workers(monkeypatch):
+    monkeypatch.setenv("RANDTEST_THREADS", "1")
+    assert worker_count(8) == 1
+    monkeypatch.setenv("RANDTEST_THREADS", "3")
+    assert worker_count(8) == 3
+    monkeypatch.delenv("RANDTEST_THREADS")
+    assert worker_count(2) == 2
+    monkeypatch.setenv("RANDTEST_THREADS", "not-a-number")
+    assert worker_count(2) == 2
+
+
 def test_scenario_table_consistency():
     cfg = small_null()
     res = run_scenario(cfg)
@@ -331,6 +343,9 @@ def test_config_rejects_unknown_fields():
         {"treated": {"poly": [0.0]}},
         {"control": {"poly": ["x"], "sd": 1.0}},
         {"stratum_cutoffs": [[0.0]]},
+        {"center": "no"},
+        {"shared_noise": "false"},
+        {"shared_noise": 0},
     ],
 )
 def test_config_rejects_malformed_fields(fields):
