@@ -15,12 +15,8 @@ from .designs import (
     DesignSpec,
     RerandomizedDesign,
     StratifiedDesign,
-    assignment_count,
     chi2_cdf,
     draw,
-    draw_complete,
-    draw_rem,
-    draw_stratified,
     mahalanobis,
     mahalanobis_many,
 )
@@ -72,7 +68,7 @@ from .estimators import (
     tau_neyman,
     tau_rosenbaum,
 )
-from .linalg import OlsFit, fit_ols, hc0_cov, univariate_ols
+from .linalg import OlsFit, fit_ols, univariate_ols
 from .permlm import (
     SCHEMES,
     PermLmSpec,

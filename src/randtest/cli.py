@@ -90,9 +90,10 @@ def json_bytes(obj) -> bytes:
 
 
 def _read_utf8(path: str, what: str) -> str:
-    """The file's text; a byte sequence that is not UTF-8 is a ParseError on its line."""
+    """The file's text without a leading byte-order mark; a byte sequence
+    that is not UTF-8 is a ParseError on its line."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -47,7 +47,7 @@ from .estimators import Dataset, _arm_counts, cluster_collapse
 
 # Candidates in the first block of a rejection-sampling draw.
 _REJECTION_BATCH = 64
-# Default rejection budget: candidates per accepted assignment.
+# Rejection budget: candidates per accepted assignment.
 _MAX_TRIES = 10**6
 # Float64 values a batch draw may hold in temporaries at once; equal to the
 # engine's evaluation chunk.
@@ -339,26 +339,22 @@ class RerandomizedDesign:
         """The validated, factored balance metric, built on first use."""
         return _BalanceMetric(self.covariates)
 
-    def draw_batch(
-        self, rng: np.random.Generator, rows: int, out=None, max_tries: int = _MAX_TRIES
-    ) -> np.ndarray:
+    def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
         """Accepted base-design candidates, in the order they were drawn,
         written into `out` ((rows, N) uint8) if given.
 
         Candidates are filtered in vectorized blocks that double from
         `_REJECTION_BATCH` up to a cache-sized cap; which rows come out
         depends only on the stream.
-        Raises AcceptanceTimeout once `max_tries` candidates per accepted row
-        plus one have been examined.
+        Raises AcceptanceTimeout once `_MAX_TRIES` candidates per accepted
+        row plus one have been examined.
         """
-        if max_tries < 1:
-            raise InvariantViolation(f"max_tries must be positive, got {max_tries}")
         n = self.base.n_units
         cap = max(1, _CANDIDATE_ELEMENTS // n)
         out = np.empty((rows, n), dtype=np.uint8) if out is None else out
         accepted = tries = 0
         while accepted < rows:
-            budget = max_tries * (accepted + 1)
+            budget = _MAX_TRIES * (accepted + 1)
             if tries >= budget:
                 raise AcceptanceTimeout(
                     f"{accepted} of {rows} assignments accepted in {tries} tries "
@@ -417,16 +413,6 @@ class BalanceReport:
     threshold: float
 
 
-def draw_complete(n: int, n1: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the assignments with exactly n1 of n treated."""
-    return draw(CompleteDesign(n, n1), rng)
-
-
-def draw_stratified(design: StratifiedDesign, rng: np.random.Generator) -> np.ndarray:
-    """Independent complete randomization inside each stratum."""
-    return draw(design, rng)
-
-
 def _balance_metric(x_d: np.ndarray) -> np.ndarray:
     """(N-1)-denominator covariance of the design covariates, checked."""
     j = x_d.shape[1]
@@ -475,33 +461,11 @@ def mahalanobis_many(zmat: np.ndarray, x_d) -> np.ndarray:
     return metric.distances(np.asarray(zmat))
 
 
-def draw_rem(
-    n: int,
-    n1: int,
-    x_d: np.ndarray,
-    a: float,
-    rng: np.random.Generator,
-    max_tries: int = _MAX_TRIES,
-) -> np.ndarray:
-    """Rejection-sample a complete assignment until the criterion accepts.
-
-    The first acceptable candidate in draw order is returned, so the result
-    is a deterministic function of the stream.
-    """
-    design = RerandomizedDesign(CompleteDesign(n, n1), a, x_d)
-    return design.draw_batch(rng, 1, max_tries=max_tries)[0].astype(np.int64)
-
-
 def draw(design: DesignSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw one assignment vector from any design."""
     if not isinstance(design, DesignSpec):
         raise TypeError(f"unknown design {design!r}")
     return design.draw_batch(rng, 1)[0].astype(np.int64)
-
-
-def assignment_count(design: DesignSpec) -> int:
-    """Size of the assignment space (pre-filter upper bound for ReM)."""
-    return design.count()
 
 
 def chi2_cdf(x, k):

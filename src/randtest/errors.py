@@ -45,7 +45,7 @@ class SingularCovariance(RandtestError):
 
 
 class AcceptanceTimeout(RandtestError):
-    """Rejection sampling exceeded max_tries without an acceptance."""
+    """Rejection sampling ran out of its budget of candidates."""
 
     def __init__(self, message: str, tries: int, acceptance_rate: float):
         super().__init__(message)

@@ -52,12 +52,6 @@ class OlsFit:
     dof: int
 
 
-def _sandwich(gram_inverse: np.ndarray, x: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    meat = (x * residuals[:, None] ** 2).T @ x
-    cov = gram_inverse @ meat @ gram_inverse
-    return (cov + cov.T) / 2.0
-
-
 def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     """Fit y on the columns of x by least squares.
 
@@ -117,7 +111,9 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     gram_inverse = (gram_inverse + gram_inverse.T) / 2.0
 
     classic_cov = rss / (n - p) * gram_inverse
-    robust_cov = _sandwich(gram_inverse, x, residuals)
+    meat = (x * residuals[:, None] ** 2).T @ x
+    robust_cov = gram_inverse @ meat @ gram_inverse
+    robust_cov = (robust_cov + robust_cov.T) / 2.0
 
     return OlsFit(
         coefficients=beta,
@@ -128,18 +124,6 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
         robust_cov=robust_cov,
         dof=n - p,
     )
-
-
-def hc0_cov(fit: OlsFit, x: np.ndarray) -> np.ndarray:
-    """HC0 sandwich covariance for a fit produced from x.
-
-    Returns (X'X)^-1 X' diag(e_i^2) X (X'X)^-1 exactly; identical to
-    `fit.robust_cov` when called with the fit's own design matrix.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != fit.residuals.shape[0] or x.shape[1] != fit.coefficients.shape[0]:
-        raise DimensionMismatch("x does not match the fit's dimensions")
-    return _sandwich(fit.gram_inverse, x, fit.residuals)
 
 
 def univariate_ols(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:

@@ -44,16 +44,6 @@ from .estimators import STUDENTIZATIONS, Dataset
 from .linalg import fit_ols
 
 SCHEMES = ("fl", "kennedy", "terbraak", "manly")
-_ALIASES = {
-    "fl": "fl",
-    "freedman-lane": "fl",
-    "freedmanlane": "fl",
-    "kennedy": "kennedy",
-    "terbraak": "terbraak",
-    "ter-braak": "terbraak",
-    "tb": "terbraak",
-    "manly": "manly",
-}
 
 
 @dataclass(frozen=True)
@@ -64,15 +54,15 @@ class PermLmSpec:
     studentization: str = "none"
 
     def __post_init__(self):
-        key = str(self.scheme).lower().replace("_", "-")
-        if key not in _ALIASES:
+        scheme = str(self.scheme).lower()
+        if scheme not in SCHEMES:
             raise InvalidConfig(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         stud = str(self.studentization).lower()
         if stud not in STUDENTIZATIONS:
             raise InvalidConfig(
                 f"studentization must be one of {STUDENTIZATIONS}, got {self.studentization!r}"
             )
-        object.__setattr__(self, "scheme", _ALIASES[key])
+        object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "studentization", stud)
 
     @property

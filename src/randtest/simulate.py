@@ -165,9 +165,9 @@ def make_population(cfg: ScenarioConfig) -> Population:
     return Population(y1, y0, x[:, None], None, design)
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Workers to use; the RANDTEST_THREADS env var caps but never raises it."""
-    count = requested if requested is not None else (os.cpu_count() or 1)
+def worker_count() -> int:
+    """One worker per core; the RANDTEST_THREADS env var caps but never raises it."""
+    count = os.cpu_count() or 1
     cap = os.environ.get("RANDTEST_THREADS")
     if cap:
         try:
@@ -177,7 +177,7 @@ def worker_count(requested: int | None = None) -> int:
     return max(1, int(count))
 
 
-def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Rejection rates over `reps` fresh assignments of one population.
 
     Repetition r draws its assignment from the stream seeded by
@@ -203,7 +203,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioRes
         _, p = frt_p_values(data, specs, pop.design, r=cfg.permutations, seed=int(frt_seeds[rep]))
         p_values[rep] = p
 
-    nworkers = worker_count(workers)
+    nworkers = worker_count()
     if nworkers == 1:
         for rep in range(cfg.reps):
             one_rep(rep)
@@ -219,9 +219,9 @@ def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioRes
     return ScenarioResult(cfg, table, p_values)
 
 
-def p_histogram(p: np.ndarray, bins: int = 20) -> np.ndarray:
-    """Binned counts of p-values over (0, 1]."""
-    return np.histogram(np.asarray(p), bins=bins, range=(0.0, 1.0))[0]
+def p_histogram(p: np.ndarray) -> np.ndarray:
+    """Counts of p-values in 20 equal bins over (0, 1]."""
+    return np.histogram(np.asarray(p), bins=20, range=(0.0, 1.0))[0]
 
 
 # -- restricted reference distribution constructs ---------------------------
@@ -234,7 +234,7 @@ def r_constant(j: int, a: float) -> float:
     return float(chi2_cdf(a, j + 2) / chi2_cdf(a, j))
 
 
-def sample_truncated_L(j: int, a: float, rng: np.random.Generator, size: int | None = None):
+def sample_truncated_L(j: int, a: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draws of D_1 given ||D||^2 <= a, D standard J-normal, by rejection."""
     if j < 1 or not a > 0:
         raise InvariantViolation(f"need J >= 1 and a > 0, got J={j}, a={a}")
@@ -245,7 +245,7 @@ def sample_truncated_L(j: int, a: float, rng: np.random.Generator, size: int | N
             tries=0,
             acceptance_rate=acceptance,
         )
-    want = 1 if size is None else int(size)
+    want = int(size)
     out = np.empty(want)
     have = 0
     while have < want:
@@ -255,7 +255,7 @@ def sample_truncated_L(j: int, a: float, rng: np.random.Generator, size: int | N
         take = min(keep.shape[0], want - have)
         out[have : have + take] = keep[:take]
         have += take
-    return float(out[0]) if size is None else out
+    return out
 
 
 def u_variance(rho: float, j: int, a: float) -> float:
@@ -263,14 +263,13 @@ def u_variance(rho: float, j: int, a: float) -> float:
     return 1.0 - (1.0 - r_constant(j, a)) * rho**2
 
 
-def sample_U(rho: float, j: int, a: float, rng: np.random.Generator, size: int | None = None):
+def sample_U(rho: float, j: int, a: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """(1-rho^2)^{1/2} eps + rho L, eps standard normal independent of L."""
     if not 0 <= rho <= 1:
         raise InvariantViolation(f"rho must be in [0,1], got {rho}")
     ell = sample_truncated_L(j, a, rng, size)
-    eps = rng.standard_normal() if size is None else rng.standard_normal(int(size))
-    out = math.sqrt(1 - rho**2) * eps + rho * ell
-    return float(out) if size is None else out
+    eps = rng.standard_normal(int(size))
+    return math.sqrt(1 - rho**2) * eps + rho * ell
 
 
 # -- built-in scenarios ------------------------------------------------------

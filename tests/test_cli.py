@@ -180,6 +180,36 @@ def test_bad_csv_bytes_are_json_errors(command, last_line, tmp_path, capsysbinar
     assert report["error"]["row"] == 10
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--reps", "99", "--ci"], ["permlm", "--scheme", "fl", "--reps", "99"]],
+    ids=["analyze", "permlm"],
+)
+def test_bom_csv_reports_like_plain_csv(argv, tmp_path, capsysbinary):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(CSV12.encode())
+    marked.write_bytes(BOM + CSV12.encode())
+    reports = []
+    for path in (plain, marked):
+        code, report = run_json([argv[0], str(path), *argv[1:]], capsysbinary)
+        assert code == 0
+        del report["timestamp"], report["data"]["path"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_bad_bytes_after_bom_report_their_row(tmp_path, capsysbinary):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(BOM + CSV8.encode() + "0.5,0,0.3 café".encode("latin-1") + b"\n")
+    code, report = run_json(["analyze", str(path)], capsysbinary)
+    assert code == 1
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["row"] == 10
+
+
 # -- analyze -------------------------------------------------------------------
 
 
@@ -346,6 +376,15 @@ def test_simulate_config_file(tmp_path, capsysbinary):
     assert code == 0
     assert report["scenario"]["reps"] == 4
     assert len(report["p_values"]) == 4
+
+
+def test_simulate_bom_config_file(tmp_path, capsysbinary):
+    path = tmp_path / "scenario.json"
+    config = {"base": "complete-null", "reps": 4, "permutations": 9}
+    path.write_bytes(BOM + json.dumps(config).encode())
+    code, report = run_json(["simulate", str(path)], capsysbinary)
+    assert code == 0
+    assert report["scenario"]["reps"] == 4
 
 
 def test_simulate_bad_json_config(tmp_path, capsysbinary):

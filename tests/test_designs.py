@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import randtest.designs
 from randtest import (
     AcceptanceTimeout,
     ClusterDesign,
@@ -15,13 +16,9 @@ from randtest import (
     RerandomizedDesign,
     SingularCovariance,
     StratifiedDesign,
-    assignment_count,
     chi2_cdf,
     chi2_quantile,
     draw,
-    draw_complete,
-    draw_rem,
-    draw_stratified,
     mahalanobis,
     mahalanobis_many,
 )
@@ -31,14 +28,14 @@ from conftest import gen
 def test_draws_respect_sizes():
     rng = gen(1)
     for _ in range(50):
-        z = draw_complete(9, 4, rng)
+        z = draw(CompleteDesign(9, 4), rng)
         assert z.sum() == 4 and z.shape == (9,)
         assert set(np.unique(z)) <= {0, 1}
 
 
 def test_draw_determinism():
-    a = [draw_complete(10, 5, gen(42)) for _ in range(3)]
-    b = [draw_complete(10, 5, gen(42)) for _ in range(3)]
+    a = [draw(CompleteDesign(10, 5), gen(42)) for _ in range(3)]
+    b = [draw(CompleteDesign(10, 5), gen(42)) for _ in range(3)]
     # a fresh generator replays the same sequence
     np.testing.assert_array_equal(a[0], b[0])
 
@@ -49,7 +46,7 @@ def test_complete_uniform_over_six_assignments():
     draws = 60_000
     counts = {}
     for _ in range(draws):
-        key = tuple(draw_complete(4, 2, rng))
+        key = tuple(draw(CompleteDesign(4, 2), rng))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     p = 1.0 / 6.0
@@ -63,7 +60,7 @@ def test_stratified_draws_per_stratum_sums():
     design = StratifiedDesign(strata, ((6, 2), (5, 3)))
     rng = gen(7)
     for _ in range(50):
-        z = draw_stratified(design, rng)
+        z = draw(design, rng)
         assert z[:6].sum() == 2 and z[6:].sum() == 3
 
 
@@ -113,7 +110,7 @@ def test_mahalanobis_affine_invariance_and_relabeling():
 def test_mahalanobis_many_matches_single():
     rng = gen(13)
     x = rng.normal(size=(20, 2))
-    zmat = np.stack([draw_complete(20, 8, rng) for _ in range(25)])
+    zmat = np.stack([draw(CompleteDesign(20, 8), rng) for _ in range(25)])
     many = mahalanobis_many(zmat, x)
     for i in range(25):
         assert abs(many[i] - mahalanobis(zmat[i], x).mahalanobis) < 1e-10
@@ -128,7 +125,7 @@ def test_singular_covariance_detected():
 def test_rem_infinite_threshold_is_complete():
     rng = gen(17)
     x = rng.normal(size=(12, 1))
-    z = draw_rem(12, 6, x, 1e12, rng)
+    z = draw(RerandomizedDesign(CompleteDesign(12, 6), 1e12, x), rng)
     assert z.sum() == 6
 
 
@@ -137,7 +134,7 @@ def test_rem_draws_always_satisfy_criterion():
     x = rng.normal(size=(40, 2))
     a = chi2_quantile(0.3, 2)
     for _ in range(30):
-        z = draw_rem(40, 20, x, a, rng)
+        z = draw(RerandomizedDesign(CompleteDesign(40, 20), a, x), rng)
         assert mahalanobis(z, x, a).accepted
 
 
@@ -157,21 +154,23 @@ def test_rem_acceptance_rate_near_nominal():
     assert abs(rate - 0.5) < max(3 * se, 0.05)
 
 
-def test_rem_timeout():
+def test_rem_timeout(monkeypatch):
+    monkeypatch.setattr(randtest.designs, "_MAX_TRIES", 256)
     rng = gen(29)
     x = rng.normal(size=(10, 1))
     with pytest.raises(AcceptanceTimeout) as exc:
-        draw_rem(10, 5, x, 1e-12, rng, max_tries=256)
+        draw(RerandomizedDesign(CompleteDesign(10, 5), 1e-12, x), rng)
     assert exc.value.tries == 256
 
 
-def test_rem_timeout_reports_accepted_fraction():
+def test_rem_timeout_reports_accepted_fraction(monkeypatch):
     # about half the candidates pass, but the budget allows two per row
+    monkeypatch.setattr(randtest.designs, "_MAX_TRIES", 2)
     rng = gen(37)
     x = rng.normal(size=(30, 1))
     design = RerandomizedDesign(CompleteDesign(30, 15), chi2_quantile(0.5, 1), x)
     with pytest.raises(AcceptanceTimeout) as exc:
-        design.draw_batch(rng, 100, max_tries=2)
+        design.draw_batch(rng, 100)
     tries, rate = exc.value.tries, exc.value.acceptance_rate
     accepted = round(rate * tries)
     assert 0 < accepted < 100
@@ -190,13 +189,13 @@ def test_draw_dispatch_and_counts():
     rng = gen(31)
     design = CompleteDesign(6, 3)
     assert draw(design, rng).sum() == 3
-    assert assignment_count(design) == 20
+    assert design.count() == 20
     strata = np.repeat([0, 1], [4, 4])
     sdesign = StratifiedDesign(strata, ((4, 2), (4, 2)))
-    assert assignment_count(sdesign) == 36
+    assert sdesign.count() == 36
     x = rng.normal(size=(6, 1))
     rdesign = RerandomizedDesign(CompleteDesign(6, 3), 5.0, x)
-    assert assignment_count(rdesign) == 20  # pre-filter bound
+    assert rdesign.count() == 20  # pre-filter bound
     assert draw(rdesign, rng).sum() == 3
 
 

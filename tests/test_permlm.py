@@ -33,9 +33,11 @@ def _perms(rng, r, n):
 
 
 def test_spec_normalization_and_label():
-    assert PermLmSpec("freedman-lane").scheme == "fl"
-    assert PermLmSpec("TB").scheme == "terbraak"
     assert PermLmSpec("Manly", "Robust").label == "manly:robust"
+    # only the canonical scheme names are accepted, in any case
+    for alias in ("freedman-lane", "freedmanlane", "ter-braak", "ter_braak", "tb", "TB"):
+        with pytest.raises(InvalidConfig):
+            PermLmSpec(alias)
     for bad in (("bootstrap",), ("fl", "huber")):
         with pytest.raises(InvalidConfig) as err:
             PermLmSpec(*bad)

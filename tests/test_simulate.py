@@ -1,6 +1,7 @@
 """Simulation harness: restricted reference constructs, populations, scenarios."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -109,12 +110,6 @@ def test_truncated_variance_unit_when_ball_is_huge():
     assert abs(d.var() - 1.0) < 3 * var_se(d)
 
 
-def test_truncated_scalar_mode():
-    out = sample_truncated_L(1, 4.0, gen(14))
-    assert isinstance(out, float)
-    assert out * out <= 4.0
-
-
 def test_truncated_refuses_hopeless_threshold():
     with pytest.raises(AcceptanceTimeout) as err:
         sample_truncated_L(1, 1e-14, gen(15), size=10)
@@ -152,9 +147,9 @@ def test_u_variance_endpoints():
 def test_u_rejects_rho_outside_unit_interval():
     rng = gen(24)
     with pytest.raises(InvariantViolation):
-        sample_U(1.5, 2, 1.0, rng)
+        sample_U(1.5, 2, 1.0, rng, size=10)
     with pytest.raises(InvariantViolation):
-        sample_U(-0.1, 2, 1.0, rng)
+        sample_U(-0.1, 2, 1.0, rng, size=10)
 
 
 # -- populations -------------------------------------------------------------
@@ -252,21 +247,26 @@ def test_scenario_is_bitwise_reproducible():
     np.testing.assert_array_equal(first.table.rates, second.table.rates)
 
 
-def test_scenario_parallel_matches_serial():
-    serial = run_scenario(small_null(), workers=1)
-    threaded = run_scenario(small_null(), workers=2)
+def test_scenario_parallel_matches_serial(monkeypatch):
+    monkeypatch.setenv("RANDTEST_THREADS", "1")
+    serial = run_scenario(small_null())
+    monkeypatch.delenv("RANDTEST_THREADS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threaded = run_scenario(small_null())
     np.testing.assert_array_equal(serial.p_values, threaded.p_values)
 
 
 def test_env_var_caps_workers(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("RANDTEST_THREADS", "1")
-    assert worker_count(8) == 1
+    assert worker_count() == 1
     monkeypatch.setenv("RANDTEST_THREADS", "3")
-    assert worker_count(8) == 3
+    assert worker_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.delenv("RANDTEST_THREADS")
-    assert worker_count(2) == 2
+    assert worker_count() == 2
     monkeypatch.setenv("RANDTEST_THREADS", "not-a-number")
-    assert worker_count(2) == 2
+    assert worker_count() == 2
 
 
 def test_scenario_table_consistency():
@@ -378,6 +378,8 @@ def test_config_from_dict_fuzz(fields, base):
 
 
 def test_p_histogram():
-    counts = p_histogram(np.array([0.01, 0.99, 0.51]), bins=2)
-    np.testing.assert_array_equal(counts, [1, 2])
+    counts = p_histogram(np.array([0.01, 0.99, 0.51]))
+    expected = np.zeros(20, dtype=np.int64)
+    expected[[0, 10, 19]] = 1  # bins [0, 0.05), [0.5, 0.55), [0.95, 1]
+    np.testing.assert_array_equal(counts, expected)
     assert p_histogram(np.linspace(0.01, 0.99, 40)).sum() == 40
