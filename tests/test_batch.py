@@ -4,8 +4,24 @@ check for the whole engine."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randtest import ALL_SPECS, Dataset, DegenerateArm, InvalidSizes, StatisticSpec, statistic
+from randtest import (
+    ALL_SPECS,
+    ClusterDesign,
+    CompleteDesign,
+    Dataset,
+    DegenerateArm,
+    InvalidSizes,
+    RerandomizedDesign,
+    StatisticSpec,
+    StratifiedDesign,
+    cluster_collapse,
+    estimate,
+    estimate_stratified,
+    statistic,
+)
 from randtest._batch import CompleteEvaluator, StratifiedEvaluator, make_evaluator, stat_matrix
 from conftest import gen, random_dataset
 
@@ -109,3 +125,86 @@ def test_mixed_arm_sizes_rejected(adjustment):
     zmat[4, np.flatnonzero(zmat[4] == 0)[0]] = 1  # row 4 treats 11 units
     with pytest.raises(InvalidSizes):
         CompleteEvaluator(data.y, data.x).triples(zmat, adjustment)
+
+
+# -- differential fuzz: batch triples against the reference refits ----------------
+
+# Smallest singular value of the covariate mixing matrix, as a power of ten:
+# near-collinear covariates X = W A share W's column span, so the refit on
+# the well-conditioned W is the reference for the evaluator on X.
+_MIX_DECADES = 2
+
+
+def _mixed_covariates(rng, w, decades):
+    j = w.shape[1]
+    rot = np.linalg.qr(rng.normal(size=(j, j)))[0]
+    scales = np.logspace(0, -decades, j) if j > 1 else np.ones(1)
+    return w @ (rot * scales) @ rot.T
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(design, data, reference data, assignment rows, the rows per unit).
+
+    Every arm of the analysis form has at least J + 2 units, the fewest the
+    interacted fit needs; strata go down to exactly that, clusters to size 1.
+    """
+    kind = draw(st.sampled_from(["complete", "stratified", "cluster", "rem"]))
+    j = draw(st.integers(1, 5))
+    rng = gen(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.integers(0, _MIX_DECADES))
+    if kind == "stratified":
+        sizes = [(draw(st.integers(2 * j + 4, 2 * j + 8)),) for _ in range(draw(st.integers(1, 3)))]
+        sizes = [(n, draw(st.integers(j + 2, n - j - 2))) for (n,) in sizes]
+        strata = np.repeat(np.arange(len(sizes)), [n for n, _ in sizes])
+        n = strata.size
+    else:
+        m = draw(st.integers(2 * j + 4, 2 * j + 16))
+        m1 = draw(st.integers(j + 2, m - j - 2))
+        strata = None
+    clusters = None
+    if kind == "cluster":
+        clusters = np.repeat(np.arange(m), rng.integers(1, 4, size=m))
+        n = clusters.size
+    elif kind != "stratified":
+        n = m
+    w = rng.normal(size=(n, j))
+    x = _mixed_covariates(rng, w, decades)
+    y = w @ rng.normal(size=j) + rng.normal(size=n) * (1 + np.abs(w[:, 0]))
+    if kind == "stratified":
+        design = StratifiedDesign(strata, tuple(sizes))
+    elif kind == "cluster":
+        design = ClusterDesign(m, m1)
+    elif kind == "complete":
+        design = CompleteDesign(m, m1)
+    else:
+        design = RerandomizedDesign(CompleteDesign(m, m1), 2.0 * j, w)
+    rows = design.draw_batch(rng, 4)
+    units = rows[:, clusters] if clusters is not None else rows
+    z_obs = units[0].astype(np.int64)
+    data = Dataset(y, z_obs, x, strata=strata, clusters=clusters)
+    ref = Dataset(y, z_obs, w, strata=strata, clusters=clusters)
+    return design, data, ref, rows, units
+
+
+def _reference_triple(ref, z, adjustment):
+    d = Dataset(ref.y, z.astype(np.int64), ref.x, strata=ref.strata, clusters=ref.clusters)
+    if d.clusters is not None:
+        return estimate(cluster_collapse(d), adjustment)
+    return (estimate if d.strata is None else estimate_stratified)(d, adjustment)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzz_cases())
+def test_fuzz_triples_match_reference_refits(case):
+    design, data, ref, rows, units = case
+    adata, adesign = design.analysis_form(data)
+    evaluator = make_evaluator(adata.y, adata.x, adesign.strata)
+    for adjustment in "fl":
+        tau, se2_c, se2_r = evaluator.triples(rows, adjustment)
+        for i, z in enumerate(units):
+            want = _reference_triple(ref, z, adjustment)
+            scale = abs(want.tau_hat) + want.se_robust
+            assert abs(tau[i] - want.tau_hat) <= 1e-8 * scale, (adjustment, i)
+            assert abs(se2_c[i] - want.se_classic**2) <= 1e-8 * want.se_classic**2, (adjustment, i)
+            assert abs(se2_r[i] - want.se_robust**2) <= 1e-8 * want.se_robust**2, (adjustment, i)
