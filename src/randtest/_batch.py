@@ -1,24 +1,28 @@
 """Vectorized evaluation of the test statistics over assignment batches.
 
 The public estimators in `estimators` refit regressions per call; that is the
-reference implementation. The randomization engine instead evaluates each
-statistic over thousands of assignment vectors at once, using the moment
-algebra below:
+reference implementation. The engine instead evaluates each statistic over
+thousands of assignments at once, from sums over each assignment's arms:
 
-- difference in means and its SEs from per-arm sums of values and squares;
-- the ANCOVA coefficient through the projection identity
-  tau_f = Z'(I-H)y / Z'(I-H)Z with H the projection onto (1, X), so only
-  Z-dependent pieces are recomputed per assignment;
-- the interacted fit through its equivalence with separate per-arm
-  regressions of the outcome on (1, Xc): the treatment coefficient is the
-  difference of arm intercepts, the classic covariance is rss/(N-p) times
-  the sum of the arms' inverse-Gram corner entries, and the HC0 covariance
-  splits into per-arm sandwiches because the block design is arm-separable.
+- `n` and `r`: per-arm sums of the values and of their squares;
+- `f` and `l`: one product `zmat @ F` per block of rows. With q an orthonormal
+  basis of the centered X, e the residual of y on (1, X) and v = (u, e),
+  u = (1, sqrt(N) q), F's columns are the products of up to four entries of v
+  the fits use; the control arm's sums are the totals minus the treated ones.
+  `f` is Z'e / Z'(I-H)Z, H projecting onto (1, X). `l` is the difference of
+  the arms' intercepts c0 in fits of e on u (e and q in place of y and X move
+  only the slopes): c, w = G^-1 (b, e0) with G = sum z u u', b = sum z e u,
+  RSS = sum z e^2 - c'b, and the classic covariance is rss/(N-p) times w0
+  summed over arms. Each HC0 numerator is a per-arm sum of ((a'v)(b'v))^2, a
+  quadratic form in v's pair products; rows whose form cancels past its
+  accuracy (few residual degrees of freedom at high leverage) sum over units.
 
 Tests pin every path against the reference implementation.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .errors import DegenerateArm, DimensionMismatch, InvalidSizes, RankDeficien
 from .estimators import StatisticSpec
 
 _QR_TOL = 1e-10
+_PIVOT_TOL = 1e-12  # a Gram pivot this small against its diagonal entry is rounding noise
 
 
 def _studentized(tau: np.ndarray, se2: np.ndarray) -> np.ndarray:
@@ -40,32 +45,37 @@ def _studentized(tau: np.ndarray, se2: np.ndarray) -> np.ndarray:
 
 
 def _centered_qr(x: np.ndarray, yc: np.ndarray):
-    """(xc, q, e): the centered covariates, an orthonormal basis of their
-    span, and the residual of the centered outcome `yc` on (1, X).
+    """(q, e): an orthonormal basis of the centered covariates' span and the
+    residual of the centered outcome `yc` on (1, X).
 
     Raises RankDeficient when the centered covariates are collinear.
     """
-    xc = x - x.mean(axis=0)
-    q, r = np.linalg.qr(xc)
+    q, r = np.linalg.qr(x - x.mean(axis=0))
     pivots = np.abs(np.diag(r))
     if pivots.size and (pivots.max() == 0.0 or pivots.min() <= _QR_TOL * pivots.max()):
         raise RankDeficient("centered covariates are collinear")
     # y's mean is already out; project out the basis
-    return xc, q, yc - q @ (q.T @ yc)
+    return q, yc - q @ (q.T @ yc)
 
 
 def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched linear solve; singular members yield NaN rows, not errors."""
-    try:
-        return np.linalg.solve(mats, rhs)
-    except np.linalg.LinAlgError:
-        out = np.empty_like(rhs)
-        for i in range(mats.shape[0]):
-            try:
-                out[i] = np.linalg.solve(mats[i], rhs[i])
-            except np.linalg.LinAlgError:
-                out[i] = np.nan
-        return out
+    """(k, m, B) solutions of the small positive-semidefinite systems
+    `mats[:, :, i] x = rhs[:, :, i]` by Gauss-Jordan elimination, vectorized
+    over i; a member singular to working precision yields NaN, not an error."""
+    k = mats.shape[0]
+    a = np.concatenate([mats, rhs], axis=1)
+    for i in range(k):
+        pivot = a[i, i].copy()
+        a[i] /= np.where(pivot > _PIVOT_TOL * mats[i, i], pivot, np.nan)
+        rest = np.arange(k) != i
+        a[rest] -= a[rest, i, None] * a[i]
+    return a[:, k:]
+
+
+# Elements of f's and l's widest temporary per block of rows: cache-sized.
+_MOMENT_ELEMENTS = 1 << 17
+# An HC0 form whose terms exceed its value by this factor is summed over units.
+_CANCEL = 1e6
 
 
 class CompleteEvaluator:
@@ -76,24 +86,37 @@ class CompleteEvaluator:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
             raise DimensionMismatch("y and x must share their first dimension")
-        self.n = y.shape[0]
-        self.j = x.shape[1]
+        self.n = n = y.shape[0]
+        self.j = j = x.shape[1]
         # Center once: means drop out of every estimator, variances gain accuracy.
         self.yc = y - y.mean()
         self.yc2 = self.yc * self.yc
         self.sum_y2 = float(self.yc2.sum())
+        if j < 1:
+            return
+        q, self.e = _centered_qr(x, self.yc)
+        self.e2 = self.e * self.e
+        self.sum_e2 = float(self.e2.sum())
+        # v = (u, e); the pairs (i <= j) of v's entries leave out (e, e), which
+        # no HC0 form weights, and the quads are the pairs of pairs
+        k = j + 1
+        self.v = np.column_stack([np.ones(n), np.sqrt(n) * q, self.e])
+        self.pairs = np.array([(a, b) for a in range(k) for b in range(a, k + 1)]).T
+        self.quads = np.array(np.triu_indices(self.pairs.shape[1]))
+        self.half = np.where(self.pairs[0] == self.pairs[1], 0.5, 1.0)[:, None]
+        self.qmult = np.where(self.quads[0] == self.quads[1], 1.0, 2.0)[:, None]
+        cols = {}  # a product of v's entries, the constant v_0 left out -> column of F
 
-        if self.j >= 1:
-            self.xc, self.q_basis, self.e = _centered_qr(x, self.yc)
-            self.e2 = self.e * self.e
-            self.sum_e2 = float(self.e2.sum())
-            self.sxx = self.xc.T @ self.xc
-            self.sxy = self.xc.T @ self.yc
-            self.xy = self.xc * self.yc[:, None]
-            self.xxf = np.einsum("ij,ik->ijk", self.xc, self.xc).reshape(self.n, self.j * self.j)
-            self.sxxf = self.xxf.sum(axis=0)
-            # Moment block [1 | xc | vec(xc xc')] for residual-weighted sums.
-            self.wblock = np.column_stack([np.ones(self.n), self.xc, self.xxf])
+        def columns(terms):
+            keys = (tuple(sorted(filter(None, t))) for t in terms)
+            return np.array([cols.setdefault(key, len(cols)) for key in keys])
+
+        self.quad_cols = columns(self.pairs[:, self.quads].reshape(4, -1).T)
+        self.diag_cols = self.quad_cols[self.qmult[:, 0] == 1.0]
+        self.gram_cols = columns(itertools.product(range(k), repeat=2))
+        self.e_cols = columns((a, k) for a in range(k + 1))  # e times each entry of v
+        self.f_cols = np.column_stack([self.v[:, list(key)].prod(axis=1) for key in cols])
+        self.f_total = self.f_cols.sum(axis=0)
 
     # -- difference in means over values fixed across assignments ----------
 
@@ -123,89 +146,60 @@ class CompleteEvaluator:
             raise DegenerateArm(f"each arm needs >= 2 units, got N1={n1}")
         return n1
 
-    def _require_covariates(self):
-        if self.j < 1:
-            raise DimensionMismatch("this adjustment needs at least one covariate column")
-
     # -- per-adjustment triples (tau, classic se^2, robust se^2) ------------
 
     def triples_n(self, zmat):
         return self._two_group(zmat, self.yc, self.yc2, self.sum_y2)
 
     def triples_r(self, zmat):
-        self._require_covariates()
         return self._two_group(zmat, self.e, self.e2, self.sum_e2)
 
+    def _moments(self, zmat):
+        """F's column sums over each row's treated arm, then over its control arm."""
+        treated = self.f_cols.T @ zmat.T
+        return np.concatenate([treated, self.f_total[:, None] - treated], axis=1)
+
+    def _hc0_sums(self, zmat, mom, a, b):
+        """Per row of `zmat`, the sum over both arms of ((a'v)(b'v))^2: `a` and
+        `b` hold coefficients on v per column of `mom`, never both on e."""
+        (i, j), (p, r) = self.pairs, self.quads
+        s = (a[i] * b[j] + a[j] * b[i]) * self.half
+        out = np.einsum("ij,ij->j", s[p] * s[r] * self.qmult, mom[self.quad_cols])
+        # against a Cauchy-Schwarz bound on the squared sum of |s_p v_p|
+        bound = np.einsum("ij,ij->j", np.abs(s), np.sqrt(np.abs(mom[self.diag_cols]))) ** 2
+        bad, rows = np.flatnonzero(bound > _CANCEL * out), zmat.shape[0]
+        arm = np.abs(zmat[bad % rows] - (bad >= rows)[:, None])
+        out[bad] = (arm * ((a[:, bad].T @ self.v.T) * (b[:, bad].T @ self.v.T)) ** 2).sum(axis=1)
+        return out[:rows] + out[rows:]
+
     def triples_f(self, zmat):
-        self._require_covariates()
-        n = self.n
-        n1 = self._n1(zmat)
-        p1 = n1 / n
-        g = zmat @ self.q_basis
-        z_ih_z = n * p1 * (1 - p1) - np.einsum("ij,ij->i", g, g)
-        num = zmat @ self.e
+        n, j, b = self.n, self.j, zmat.shape[0]
+        p1 = self._n1(zmat) / n
+        mom = self._moments(zmat)
+        g = mom[self.gram_cols[1 : j + 1], :b] / n  # Hz = u'g
+        z_ih_z = n * (p1 * (1 - p1) - np.einsum("ij,ij->j", g, g))
         with np.errstate(divide="ignore", invalid="ignore"):
-            tau = num / z_ih_z
-            se2_classic = np.maximum(self.sum_e2 / z_ih_z - tau**2, 0.0) / (n - 2 - self.j)
-            delta = zmat - p1 - g @ self.q_basis.T
-            eta = self.e[None, :] - delta * tau[:, None]
-            se2_robust = np.einsum("ij,ij->i", delta * eta, delta * eta) / z_ih_z**2
+            tau = mom[self.e_cols[0], :b] / z_ih_z
+            se2_classic = np.maximum(self.sum_e2 / z_ih_z - tau**2, 0.0) / (n - 2 - j)
+            arm, g2, tau2 = np.repeat([1 - p1, -p1], b), np.hstack([g, g]), np.hstack([tau, tau])
+            delta = np.vstack([arm, -g2, np.zeros(2 * b)])
+            eta = np.vstack([-tau2 * arm, tau2 * g2, np.ones(2 * b)])
+            se2_robust = self._hc0_sums(zmat, mom, delta, eta) / z_ih_z**2
         return tau, se2_classic, se2_robust
 
     def triples_l(self, zmat):
-        self._require_covariates()
-        n, j = self.n, self.j
+        n, j, b = self.n, self.j, zmat.shape[0]
         n1 = self._n1(zmat)
-        n0 = n - n1
-        if n1 < j + 2 or n0 < j + 2:
+        if n1 < j + 2 or n - n1 < j + 2:
             raise DegenerateArm(f"interacted fit needs >= {j + 2} units per arm")
-        b = zmat.shape[0]
-
-        sx1 = zmat @ self.xc
-        sxx1 = (zmat @ self.xxf).reshape(b, j, j)
-        sy1 = zmat @ self.yc
-        sxy1 = zmat @ self.xy
-
-        def arm_system(n_z, s_x, s_xx, s_y, s_xy):
-            mats = np.empty((b, j + 1, j + 1))
-            mats[:, 0, 0] = n_z
-            mats[:, 0, 1:] = s_x
-            mats[:, 1:, 0] = s_x
-            mats[:, 1:, 1:] = s_xx
-            rhs = np.empty((b, j + 1, 2))
-            rhs[:, 0, 0] = s_y
-            rhs[:, 1:, 0] = s_xy
-            rhs[:, 0, 1] = 1.0
-            rhs[:, 1:, 1] = 0.0
-            return mats, _solve_batch(mats, rhs)
-
-        mats1, sol1 = arm_system(n1, sx1, sxx1, sy1, sxy1)
-        mats0, sol0 = arm_system(n0, -sx1, self.sxx[None] - sxx1, -sy1, self.sxy[None] - sxy1)
-        coef1, w1 = sol1[:, :, 0], sol1[:, :, 1]
-        coef0, w0 = sol0[:, :, 0], sol0[:, :, 1]
-        tau = coef1[:, 0] - coef0[:, 0]
-
-        fit1 = coef1[:, 0:1] + coef1[:, 1:] @ self.xc.T
-        fit0 = coef0[:, 0:1] + coef0[:, 1:] @ self.xc.T
-        resid = self.yc[None, :] - np.where(zmat > 0.5, fit1, fit0)
-        resid2 = resid * resid
-        rss = resid2.sum(axis=1)
-        dof = n - 2 - 2 * j
-        se2_classic = rss / dof * (w1[:, 0] + w0[:, 0])
-
-        m1 = (resid2 * zmat) @ self.wblock
-        m0 = resid2 @ self.wblock - m1
-
-        def corner(m_flat, w):
-            mats = np.empty((b, j + 1, j + 1))
-            mats[:, 0, 0] = m_flat[:, 0]
-            mats[:, 0, 1:] = m_flat[:, 1 : 1 + j]
-            mats[:, 1:, 0] = m_flat[:, 1 : 1 + j]
-            mats[:, 1:, 1:] = m_flat[:, 1 + j :].reshape(b, j, j)
-            return np.einsum("bi,bij,bj->b", w, mats, w)
-
-        se2_robust = corner(m1, w1) + corner(m0, w0)
-        return tau, se2_classic, se2_robust
+        mom = self._moments(zmat)
+        rhs = np.zeros((j + 1, 2, 2 * b))
+        rhs[:, 0], rhs[0, 1] = mom[self.e_cols[:-1]], 1.0
+        c, w = _solve_batch(mom[self.gram_cols].reshape(j + 1, j + 1, -1), rhs).transpose(1, 0, 2)
+        rss = mom[self.e_cols[-1]] - np.einsum("ij,ij->j", c, rhs[:, 0])
+        se2_classic = (rss[:b] + rss[b:]) / (n - 2 - 2 * j) * (w[0, :b] + w[0, b:])
+        resid, lever = np.vstack([-c, np.ones(2 * b)]), np.vstack([w, np.zeros(2 * b)])
+        return c[0, :b] - c[0, b:], se2_classic, self._hc0_sums(zmat, mom, resid, lever)
 
     _TRIPLES = {"n": triples_n, "r": triples_r, "f": triples_f, "l": triples_l}
 
@@ -213,7 +207,16 @@ class CompleteEvaluator:
         zmat = np.asarray(zmat, dtype=np.float64)
         if zmat.ndim != 2 or zmat.shape[1] != self.n:
             raise DimensionMismatch(f"zmat must be (B, {self.n})")
-        return self._TRIPLES[adjustment](self, zmat)
+        if adjustment != "n" and self.j < 1:
+            raise DimensionMismatch("this adjustment needs at least one covariate column")
+        fn, wide = self._TRIPLES[adjustment], adjustment in "fl"
+        # f and l take rows in blocks sized by their widest temporary (shape only)
+        step = max(1, _MOMENT_ELEMENTS // (2 * self.quad_cols.size)) if wide else len(zmat) or 1
+        parts = [fn(self, zmat[s : s + step]) for s in range(0, len(zmat) or 1, step)]
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+    def triples_each(self, zmat: np.ndarray, adjustments) -> dict:
+        return {a: self.triples(zmat, a) for a in adjustments}
 
 
 class StratifiedEvaluator:
@@ -222,36 +225,33 @@ class StratifiedEvaluator:
     def __init__(self, y: np.ndarray, x: np.ndarray, strata: np.ndarray):
         strata = np.asarray(strata, dtype=np.int64)
         self.n = y.shape[0]
-        self.indices = [np.nonzero(strata == k)[0] for k in range(int(strata.max()) + 1)]
-        self.weights = np.array([idx.size / self.n for idx in self.indices])
-        self.parts = [CompleteEvaluator(y[idx], x[idx]) for idx in self.indices]
+        indices = [np.nonzero(strata == k)[0] for k in range(int(strata.max()) + 1)]
+        self.weights = np.array([idx.size / self.n for idx in indices])
+        self.parts = [CompleteEvaluator(y[idx], x[idx]) for idx in indices]
+        # a stratum of consecutive units is read through a view, not a copy
+        self.columns = [slice(i[0], i[-1] + 1) if i[-1] - i[0] < i.size else i for i in indices]
 
     def triples(self, zmat: np.ndarray, adjustment: str):
+        return self.triples_each(zmat, (adjustment,))[adjustment]
+
+    def triples_each(self, zmat: np.ndarray, adjustments) -> dict:
         zmat = np.asarray(zmat, dtype=np.float64)
-        tau = np.zeros(zmat.shape[0])
-        se2_classic = np.zeros(zmat.shape[0])
-        se2_robust = np.zeros(zmat.shape[0])
-        for w, idx, part in zip(self.weights, self.indices, self.parts):
-            t_k, c_k, r_k = part.triples(np.ascontiguousarray(zmat[:, idx]), adjustment)
-            tau += w * t_k
-            se2_classic += w**2 * c_k
-            se2_robust += w**2 * r_k
-        return tau, se2_classic, se2_robust
+        out = {a: np.zeros((3, zmat.shape[0])) for a in adjustments}
+        for w, cols, part in zip(self.weights, self.columns, self.parts):
+            sub = zmat[:, cols]  # one gather per stratum for every adjustment
+            for a in adjustments:
+                out[a] += np.multiply(part.triples(sub, a), [[w], [w**2], [w**2]])
+        return {a: tuple(v) for a, v in out.items()}
 
 
 def make_evaluator(y, x, strata=None):
-    if strata is None:
-        return CompleteEvaluator(y, x)
-    return StratifiedEvaluator(y, x, strata)
+    return CompleteEvaluator(y, x) if strata is None else StratifiedEvaluator(y, x, strata)
 
 
 def stat_matrix(evaluator, zmat: np.ndarray, specs: list[StatisticSpec]) -> np.ndarray:
     """(B, len(specs)) statistic values, computing each adjustment once."""
     zmat = np.asarray(zmat, dtype=np.float64)
-    by_adjustment = {}
-    for spec in specs:
-        if spec.adjustment not in by_adjustment:
-            by_adjustment[spec.adjustment] = evaluator.triples(zmat, spec.adjustment)
+    by_adjustment = evaluator.triples_each(zmat, dict.fromkeys(s.adjustment for s in specs))
     out = np.empty((zmat.shape[0], len(specs)))
     for col, spec in enumerate(specs):
         tau, se2_c, se2_r = by_adjustment[spec.adjustment]

@@ -81,7 +81,7 @@ class _Projection:
             raise InvariantViolation(f"need N > J + 2, got N={n}, J={j}")
         self.n, self.j = n, j
         self.yc = data.y - data.y.mean()
-        _, self.q, self.e = _centered_qr(data.x, self.yc)
+        self.q, self.e = _centered_qr(data.x, self.yc)
         z = data.z.astype(np.float64)
         p1 = data.n1 / n
         self.delta = z - p1 - self.q @ (self.q.T @ z)

@@ -2,6 +2,8 @@
 estimator path on every statistic; this is the load-bearing dual-route
 check for the whole engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from randtest import (
     cluster_collapse,
     estimate,
     estimate_stratified,
+    frt_p_value,
     statistic,
 )
 from randtest._batch import CompleteEvaluator, StratifiedEvaluator, make_evaluator, stat_matrix
@@ -132,7 +135,7 @@ def test_mixed_arm_sizes_rejected(adjustment):
 # Smallest singular value of the covariate mixing matrix, as a power of ten:
 # near-collinear covariates X = W A share W's column span, so the refit on
 # the well-conditioned W is the reference for the evaluator on X.
-_MIX_DECADES = 2
+_MIX_DECADES = 5
 
 
 def _mixed_covariates(rng, w, decades):
@@ -208,3 +211,42 @@ def test_fuzz_triples_match_reference_refits(case):
             assert abs(tau[i] - want.tau_hat) <= 1e-8 * scale, (adjustment, i)
             assert abs(se2_c[i] - want.se_classic**2) <= 1e-8 * want.se_classic**2, (adjustment, i)
             assert abs(se2_r[i] - want.se_robust**2) <= 1e-8 * want.se_robust**2, (adjustment, i)
+
+
+def test_constant_covariate_in_an_arm_gives_nan_counted_extreme():
+    # x1 is binary: a row treating four units that share x1 leaves x1
+    # constant in the treated arm, whose interacted fit is then singular
+    rng = gen(139)
+    x = np.column_stack([np.repeat([1.0, 0.0], 6), rng.normal(size=12)])
+    y = x @ [1.0, 0.5] + rng.normal(size=12)
+    z = np.zeros(12, dtype=np.int64)
+    z[[0, 1, 6, 7]] = 1
+    design = CompleteDesign(12, 4)
+    zmat = design.enumerate()
+    singular = np.all(zmat[:, :6] == 0, axis=1) | np.all(zmat[:, 6:] == 0, axis=1)
+    assert singular.sum() == 30
+    spec = StatisticSpec("l", "robust")
+    res = frt_p_value(Dataset(y, z, x), spec, design, exact=True)
+    assert np.array_equal(np.isnan(res.replicates), singular)
+    # NaN replicates count as extreme: the p-value is the conservative one
+    extreme = np.count_nonzero(np.abs(res.replicates[~singular]) >= abs(res.t_obs))
+    assert res.p_value == (extreme + singular.sum()) / zmat.shape[0]
+
+
+@pytest.mark.parametrize(
+    "n, j, rows, peak_mib",
+    # traced peaks of the residual-pass evaluator these replace, per adjustment
+    [(18, 2, 48_620, {"f": 29.3, "l": 51.7}), (1000, 3, 2000, {"f": 61.2, "l": 77.5})],
+)
+def test_f_and_l_peak_memory_stays_below_residual_passes(n, j, rows, peak_mib):
+    rng = gen(149)
+    ev = CompleteEvaluator(rng.normal(size=n), rng.normal(size=(n, j)))
+    zmat = _random_zmat(rng, rows, n, n // 2).astype(np.float64)
+    for adjustment, bound in peak_mib.items():
+        tracemalloc.start()
+        try:
+            ev.triples(zmat, adjustment)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, (adjustment, peak / 2**20)
