@@ -63,6 +63,8 @@ _SIDES = ("one", "two")
 _TIE_RTOL = 1e-9
 # Replicate-by-shift values scored at once when scanning the CI grid.
 _GRID_ELEMENTS = 1 << 17
+# Halvings whose midpoints one CI boundary round scores at once.
+_BISECT_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -279,6 +281,37 @@ def _stat_at_shift(vals: np.ndarray, nodes, c: np.ndarray, studentization: str) 
     return _studentized(tau, l0 * vals[:, 2:3] + l1 * vals[:, 3:4] + l2 * vals[:, 4:5])
 
 
+def _boundary(p_at, alpha: float, inside: float, outside: float) -> float:
+    """Bisection between an accepted shift `inside` and a rejected shift
+    `outside`: the last accepted midpoint, at float resolution.
+
+    Each round scores, in one `p_at` call, every midpoint that the next
+    `_BISECT_DEPTH` halvings can reach, then walks them as one-at-a-time
+    bisection would: the same midpoints, the same stop when a midpoint
+    equals an end, and at most 64 halvings, which pass float resolution.
+    """
+    halvings = 0
+    while True:
+        # the tree of reachable intervals in heap order: node i's children,
+        # 2i + 1 if its midpoint is accepted and 2i + 2 if not
+        ends, mids = [(inside, outside)], []
+        for node in range(2**_BISECT_DEPTH - 1):
+            a, b = ends[node]
+            mids.append(a + (b - a) / 2)
+            ends += [(mids[-1], b), (a, mids[-1])]
+        accepted = p_at(np.array(mids)) > alpha
+        node = 0
+        for _ in range(_BISECT_DEPTH):
+            mid = mids[node]
+            if halvings == 64 or mid in (inside, outside):
+                return inside
+            halvings += 1
+            if accepted[node]:
+                inside, node = mid, 2 * node + 1
+            else:
+                outside, node = mid, 2 * node + 2
+
+
 def invert_ci(
     data: Dataset,
     spec: StatisticSpec,
@@ -370,18 +403,6 @@ def invert_ci(
         extreme = _count_extreme(reps, t_obs, sided)
         return extreme / m if exact else (1 + extreme) / (1 + m)
 
-    def boundary(inside, outside):
-        # keeps an accepted shift inside; 64 halvings pass float resolution
-        for _ in range(64):
-            mid = inside + (outside - inside) / 2
-            if mid in (inside, outside):
-                break
-            if p_at(np.array([mid]))[0] > alpha:
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
     cols = max(1, _GRID_ELEMENTS // m)
     p_vals = np.concatenate([p_at(points[s : s + cols]) for s in range(0, num, cols)])
 
@@ -395,8 +416,8 @@ def invert_ci(
             max_p=float(p_vals[best]),
         )
     first, last = np.flatnonzero(accepted)[[0, -1]]
-    lower = points[0] if first == 0 else boundary(points[first], points[first - 1])
-    upper = points[-1] if last == num - 1 else boundary(points[last], points[last + 1])
+    lower = points[0] if first == 0 else _boundary(p_at, alpha, points[first], points[first - 1])
+    upper = points[-1] if last == num - 1 else _boundary(p_at, alpha, points[last], points[last + 1])
     return CiResult(
         float(lower),
         float(upper),

@@ -230,3 +230,49 @@ def test_zero_replicates_rejected(chunk_rows, monkeypatch):
         invert_ci(data, L_ROBUST, 0.05, design, r=0, seed=1)
     with pytest.raises(InvariantViolation):
         frt_p_value(data, L_ROBUST, design, r=0, seed=1)
+
+
+def _sequential_boundary(p_at, alpha, inside, outside):
+    # one midpoint per p_at call: the search the batched one must reproduce
+    for _ in range(64):
+        mid = inside + (outside - inside) / 2
+        if mid in (inside, outside):
+            break
+        if p_at(np.array([mid]))[0] > alpha:
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_boundary_matches_sequential_bisection(seed):
+    rng = gen(seed)
+    # p-curves crossing alpha one to three times, searched both ways to float
+    # resolution; the last search starts 1e300 wide, so it is still halving
+    # at the 64-halving cap
+    cuts = np.sort(rng.uniform(-1, 1, size=rng.integers(1, 4)))
+    wide = np.array([1e290 * rng.uniform(1, 2)])
+    calls = []
+    for cut, inside, outside in [(cuts, -1.0, 1.0), (cuts, 1.0, -1.0), (wide, 0.0, 1e300)]:
+
+        def p_at(shifts, cut=cut):
+            calls.append(shifts.size)
+            return np.where(np.searchsorted(cut, shifts) % 2 == 0, 0.5, 0.01)
+
+        if p_at(np.array([inside]))[0] <= ALPHA:
+            inside, outside = outside, inside
+        want = _sequential_boundary(p_at, ALPHA, inside, outside)
+        calls.clear()
+        assert engine._boundary(p_at, ALPHA, inside, outside) == want
+        assert len(calls) <= 64 // engine._BISECT_DEPTH + 1
+
+
+@pytest.mark.parametrize("name", ["complete-half", "stratified", "exact-half"])
+def test_batched_boundary_matches_sequential_in_invert_ci(name, monkeypatch):
+    data, design, r, exact = _case(name)
+    batched = invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
+    monkeypatch.setattr(engine, "_boundary", _sequential_boundary)
+    sequential = invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
+    assert (batched.lower, batched.upper) == (sequential.lower, sequential.upper)
+    np.testing.assert_array_equal(batched.p_values, sequential.p_values)
