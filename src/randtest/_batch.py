@@ -1,23 +1,22 @@
 """Vectorized evaluation of the test statistics over assignment batches.
 
 The public estimators in `estimators` refit regressions per call; that is the
-reference implementation. The engine instead evaluates each statistic over
-thousands of assignments at once, from sums over each assignment's arms:
+reference implementation, and tests pin every path here against it. The
+engine instead evaluates each statistic over thousands of assignments at
+once, from sums over each assignment's arms:
 
 - `n` and `r`: per-arm sums of the values and of their squares;
-- `f` and `l`: one product `zmat @ F` per block of rows. With q an orthonormal
-  basis of the centered X, e the residual of y on (1, X) and v = (u, e),
-  u = (1, sqrt(N) q), F's columns are the products of up to four entries of v
-  the fits use; the control arm's sums are the totals minus the treated ones.
-  `f` is Z'e / Z'(I-H)Z, H projecting onto (1, X). `l` is the difference of
-  the arms' intercepts c0 in fits of e on u (e and q in place of y and X move
-  only the slopes): c, w = G^-1 (b, e0) with G = sum z u u', b = sum z e u,
-  RSS = sum z e^2 - c'b, and the classic covariance is rss/(N-p) times w0
-  summed over arms. Each HC0 numerator is a per-arm sum of ((a'v)(b'v))^2, a
+- `f` and `l`: one product `zmat @ F` per block of rows, which they share.
+  With q an orthonormal basis of the centered X, e the residual of y on
+  (1, X), u = (1, sqrt(N) q) and v = (u, e), F's columns are the products of
+  up to four entries of v; the control arm's sums are the totals minus the
+  treated ones. `f` is Z'e / Z'(I-H)Z, H projecting onto (1, X). `l` is the
+  difference of the arms' intercepts in fits of e on u (e and q in place of y
+  and X move only the slopes): c, w = G^-1 (b, e0) with G = sum z u u',
+  b = sum z e u, RSS = sum z e^2 - c'b and classic covariance rss/(N-p) times
+  w0 summed over arms. Each HC0 numerator sums ((a'v)(b'v))^2 over an arm, a
   quadratic form in v's pair products; rows whose form cancels past its
   accuracy (few residual degrees of freedom at high leverage) sum over units.
-
-Tests pin every path against the reference implementation.
 """
 
 from __future__ import annotations
@@ -46,10 +45,7 @@ def _studentized(tau: np.ndarray, se2: np.ndarray) -> np.ndarray:
 
 def _centered_qr(x: np.ndarray, yc: np.ndarray):
     """(q, e): an orthonormal basis of the centered covariates' span and the
-    residual of the centered outcome `yc` on (1, X).
-
-    Raises RankDeficient when the centered covariates are collinear.
-    """
+    residual of the centered outcome `yc` on (1, X); RankDeficient if collinear."""
     q, r = np.linalg.qr(x - x.mean(axis=0))
     pivots = np.abs(np.diag(r))
     if pivots.size and (pivots.max() == 0.0 or pivots.min() <= _QR_TOL * pivots.max()):
@@ -172,10 +168,9 @@ class CompleteEvaluator:
         out[bad] = (arm * ((a[:, bad].T @ self.v.T) * (b[:, bad].T @ self.v.T)) ** 2).sum(axis=1)
         return out[:rows] + out[rows:]
 
-    def triples_f(self, zmat):
+    def triples_f(self, zmat, mom):
         n, j, b = self.n, self.j, zmat.shape[0]
         p1 = self._n1(zmat) / n
-        mom = self._moments(zmat)
         g = mom[self.gram_cols[1 : j + 1], :b] / n  # Hz = u'g
         z_ih_z = n * (p1 * (1 - p1) - np.einsum("ij,ij->j", g, g))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,12 +182,11 @@ class CompleteEvaluator:
             se2_robust = self._hc0_sums(zmat, mom, delta, eta) / z_ih_z**2
         return tau, se2_classic, se2_robust
 
-    def triples_l(self, zmat):
+    def triples_l(self, zmat, mom):
         n, j, b = self.n, self.j, zmat.shape[0]
         n1 = self._n1(zmat)
         if n1 < j + 2 or n - n1 < j + 2:
             raise DegenerateArm(f"interacted fit needs >= {j + 2} units per arm")
-        mom = self._moments(zmat)
         rhs = np.zeros((j + 1, 2, 2 * b))
         rhs[:, 0], rhs[0, 1] = mom[self.e_cols[:-1]], 1.0
         c, w = _solve_batch(mom[self.gram_cols].reshape(j + 1, j + 1, -1), rhs).transpose(1, 0, 2)
@@ -204,19 +198,26 @@ class CompleteEvaluator:
     _TRIPLES = {"n": triples_n, "r": triples_r, "f": triples_f, "l": triples_l}
 
     def triples(self, zmat: np.ndarray, adjustment: str):
+        return self.triples_each(zmat, (adjustment,))[adjustment]
+
+    def triples_each(self, zmat: np.ndarray, adjustments) -> dict:
         zmat = np.asarray(zmat, dtype=np.float64)
         if zmat.ndim != 2 or zmat.shape[1] != self.n:
             raise DimensionMismatch(f"zmat must be (B, {self.n})")
-        if adjustment != "n" and self.j < 1:
+        if self.j < 1 and set(adjustments) - {"n"}:
             raise DimensionMismatch("this adjustment needs at least one covariate column")
-        fn, wide = self._TRIPLES[adjustment], adjustment in "fl"
-        # f and l take rows in blocks sized by their widest temporary (shape only)
-        step = max(1, _MOMENT_ELEMENTS // (2 * self.quad_cols.size)) if wide else len(zmat) or 1
-        parts = [fn(self, zmat[s : s + step]) for s in range(0, len(zmat) or 1, step)]
-        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-
-    def triples_each(self, zmat: np.ndarray, adjustments) -> dict:
-        return {a: self.triples(zmat, a) for a in adjustments}
+        out = {a: self._TRIPLES[a](self, zmat) for a in adjustments if a in "nr"}
+        wide = [a for a in adjustments if a in "fl"]
+        # f and l share each block's moments; blocks are sized by the widest
+        # temporary, so their bounds depend on the shape alone
+        step = max(1, _MOMENT_ELEMENTS // (2 * self.quad_cols.size)) if wide else 1
+        parts = []
+        for s in range(0, len(zmat) or 1, step) if wide else ():
+            block = zmat[s : s + step]
+            mom = self._moments(block)
+            parts.append([self._TRIPLES[a](self, block, mom) for a in wide])
+        out.update((a, tuple(map(np.concatenate, zip(*p)))) for a, p in zip(wide, zip(*parts)))
+        return out
 
 
 class StratifiedEvaluator:
@@ -235,12 +236,11 @@ class StratifiedEvaluator:
         return self.triples_each(zmat, (adjustment,))[adjustment]
 
     def triples_each(self, zmat: np.ndarray, adjustments) -> dict:
-        zmat = np.asarray(zmat, dtype=np.float64)
-        out = {a: np.zeros((3, zmat.shape[0])) for a in adjustments}
+        out = {a: np.zeros((3, len(zmat))) for a in adjustments}
         for w, cols, part in zip(self.weights, self.columns, self.parts):
-            sub = zmat[:, cols]  # one gather per stratum for every adjustment
-            for a in adjustments:
-                out[a] += np.multiply(part.triples(sub, a), [[w], [w**2], [w**2]])
+            # one gather of the stratum's columns serves every adjustment
+            for a, triple in part.triples_each(zmat[:, cols], adjustments).items():
+                out[a] += np.multiply(triple, [[w], [w**2], [w**2]])
         return {a: tuple(v) for a, v in out.items()}
 
 
