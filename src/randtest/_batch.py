@@ -21,8 +21,6 @@ once, from sums over each assignment's arms:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import DegenerateArm, DimensionMismatch, InvalidSizes, RankDeficient
@@ -101,17 +99,19 @@ class CompleteEvaluator:
         self.quads = np.array(np.triu_indices(self.pairs.shape[1]))
         self.half = np.where(self.pairs[0] == self.pairs[1], 0.5, 1.0)[:, None]
         self.qmult = np.where(self.quads[0] == self.quads[1], 1.0, 2.0)[:, None]
-        cols = {}  # a product of v's entries, the constant v_0 left out -> column of F
-
-        def columns(terms):
-            keys = (tuple(sorted(filter(None, t))) for t in terms)
-            return np.array([cols.setdefault(key, len(cols)) for key in keys])
-
-        self.quad_cols = columns(self.pairs[:, self.quads].reshape(4, -1).T)
+        # F's columns: the distinct products of four entries of v (v_0 = 1 pads
+        # shorter ones) that a quad, an entry u_a u_b of G, or e v_a names
+        terms = np.sort(np.vstack([
+            self.pairs[:, self.quads].reshape(4, -1).T,
+            [(a, b, 0, 0) for a in range(k) for b in range(k)],
+            [(a, k, 0, 0) for a in range(k + 1)],
+        ]), axis=1)
+        codes = terms @ (k + 1) ** np.arange(4)  # a term's entries as base-(k + 1) digits
+        _, first, cols = np.unique(codes, return_index=True, return_inverse=True)
+        split = np.cumsum([self.quads.shape[1], k * k])
+        self.quad_cols, self.gram_cols, self.e_cols = np.split(cols, split)
         self.diag_cols = self.quad_cols[self.qmult[:, 0] == 1.0]
-        self.gram_cols = columns(itertools.product(range(k), repeat=2))
-        self.e_cols = columns((a, k) for a in range(k + 1))  # e times each entry of v
-        self.f_cols = np.column_stack([self.v[:, list(key)].prod(axis=1) for key in cols])
+        self.f_cols = self.v[:, terms[first]].prod(axis=2)
         self.f_total = self.f_cols.sum(axis=0)
 
     # -- difference in means over values fixed across assignments ----------
