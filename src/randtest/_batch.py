@@ -21,6 +21,8 @@ once, from sums over each assignment's arms:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DegenerateArm, DimensionMismatch, InvalidSizes, RankDeficient
@@ -68,8 +70,37 @@ def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # Elements of f's and l's widest temporary per block of rows: cache-sized.
 _MOMENT_ELEMENTS = 1 << 17
+# Reference-set entries per block of rows, bounding the block's float64 copy.
+_ROW_ELEMENTS = 4_000_000
 # An HC0 form whose terms exceed its value by this factor is summed over units.
 _CANCEL = 1e6
+
+
+@functools.cache
+def _moment_layout(j: int):
+    """The read-only index tables of f's and l's moments, which depend on J alone."""
+    # v = (u, e); the pairs (i <= j) of v's entries leave out (e, e), which
+    # no HC0 form weights, and the quads are the pairs of pairs
+    k = j + 1
+    pairs = np.array([(a, b) for a in range(k) for b in range(a, k + 1)]).T
+    quads = np.array(np.triu_indices(pairs.shape[1]))
+    half = np.where(pairs[0] == pairs[1], 0.5, 1.0)[:, None]
+    qmult = np.where(quads[0] == quads[1], 1.0, 2.0)[:, None]
+    # F's columns: the distinct products of four entries of v (v_0 = 1 pads
+    # shorter ones) that a quad, an entry u_a u_b of G, or e v_a names
+    terms = np.sort(np.vstack([
+        pairs[:, quads].reshape(4, -1).T,
+        [(a, b, 0, 0) for a in range(k) for b in range(k)],
+        [(a, k, 0, 0) for a in range(k + 1)],
+    ]), axis=1)
+    codes = terms @ (k + 1) ** np.arange(4)  # a term's entries as base-(k + 1) digits
+    _, first, cols = np.unique(codes, return_index=True, return_inverse=True)
+    quad_cols, gram_cols, e_cols = np.split(cols, np.cumsum([quads.shape[1], k * k]))
+    diag_cols = quad_cols[qmult[:, 0] == 1.0]
+    tables = pairs, quads, half, qmult, terms[first], quad_cols, gram_cols, e_cols, diag_cols
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class CompleteEvaluator:
@@ -91,34 +122,20 @@ class CompleteEvaluator:
         q, self.e = _centered_qr(x, self.yc)
         self.e2 = self.e * self.e
         self.sum_e2 = float(self.e2.sum())
-        # v = (u, e); the pairs (i <= j) of v's entries leave out (e, e), which
-        # no HC0 form weights, and the quads are the pairs of pairs
-        k = j + 1
         self.v = np.column_stack([np.ones(n), np.sqrt(n) * q, self.e])
-        self.pairs = np.array([(a, b) for a in range(k) for b in range(a, k + 1)]).T
-        self.quads = np.array(np.triu_indices(self.pairs.shape[1]))
-        self.half = np.where(self.pairs[0] == self.pairs[1], 0.5, 1.0)[:, None]
-        self.qmult = np.where(self.quads[0] == self.quads[1], 1.0, 2.0)[:, None]
-        # F's columns: the distinct products of four entries of v (v_0 = 1 pads
-        # shorter ones) that a quad, an entry u_a u_b of G, or e v_a names
-        terms = np.sort(np.vstack([
-            self.pairs[:, self.quads].reshape(4, -1).T,
-            [(a, b, 0, 0) for a in range(k) for b in range(k)],
-            [(a, k, 0, 0) for a in range(k + 1)],
-        ]), axis=1)
-        codes = terms @ (k + 1) ** np.arange(4)  # a term's entries as base-(k + 1) digits
-        _, first, cols = np.unique(codes, return_index=True, return_inverse=True)
-        split = np.cumsum([self.quads.shape[1], k * k])
-        self.quad_cols, self.gram_cols, self.e_cols = np.split(cols, split)
-        self.diag_cols = self.quad_cols[self.qmult[:, 0] == 1.0]
-        self.f_cols = self.v[:, terms[first]].prod(axis=2)
-        self.f_total = self.f_cols.sum(axis=0)
+        (self.pairs, self.quads, self.half, self.qmult, self.terms,
+         self.quad_cols, self.gram_cols, self.e_cols, self.diag_cols) = _moment_layout(j)
+
+    @functools.cached_property
+    def _f(self):
+        """F and its column totals, built on the first f or l evaluation."""
+        f_cols = self.v[:, self.terms].prod(axis=2)
+        return f_cols, f_cols.sum(axis=0)
 
     # -- difference in means over values fixed across assignments ----------
 
-    def _two_group(self, zmat, values, values_sq, total_sq):
+    def _two_group(self, zmat, n1, values, values_sq, total_sq):
         n = self.n
-        n1 = self._n1(zmat)
         n0 = n - n1
         s1 = zmat @ values
         mean1 = s1 / n1
@@ -144,16 +161,17 @@ class CompleteEvaluator:
 
     # -- per-adjustment triples (tau, classic se^2, robust se^2) ------------
 
-    def triples_n(self, zmat):
-        return self._two_group(zmat, self.yc, self.yc2, self.sum_y2)
+    def triples_n(self, zmat, n1, mom):
+        return self._two_group(zmat, n1, self.yc, self.yc2, self.sum_y2)
 
-    def triples_r(self, zmat):
-        return self._two_group(zmat, self.e, self.e2, self.sum_e2)
+    def triples_r(self, zmat, n1, mom):
+        return self._two_group(zmat, n1, self.e, self.e2, self.sum_e2)
 
     def _moments(self, zmat):
         """F's column sums over each row's treated arm, then over its control arm."""
-        treated = self.f_cols.T @ zmat.T
-        return np.concatenate([treated, self.f_total[:, None] - treated], axis=1)
+        f_cols, f_total = self._f
+        treated = f_cols.T @ zmat.T
+        return np.concatenate([treated, f_total[:, None] - treated], axis=1)
 
     def _hc0_sums(self, zmat, mom, a, b):
         """Per row of `zmat`, the sum over both arms of ((a'v)(b'v))^2: `a` and
@@ -168,9 +186,9 @@ class CompleteEvaluator:
         out[bad] = (arm * ((a[:, bad].T @ self.v.T) * (b[:, bad].T @ self.v.T)) ** 2).sum(axis=1)
         return out[:rows] + out[rows:]
 
-    def triples_f(self, zmat, mom):
+    def triples_f(self, zmat, n1, mom):
         n, j, b = self.n, self.j, zmat.shape[0]
-        p1 = self._n1(zmat) / n
+        p1 = n1 / n
         g = mom[self.gram_cols[1 : j + 1], :b] / n  # Hz = u'g
         z_ih_z = n * (p1 * (1 - p1) - np.einsum("ij,ij->j", g, g))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -182,9 +200,8 @@ class CompleteEvaluator:
             se2_robust = self._hc0_sums(zmat, mom, delta, eta) / z_ih_z**2
         return tau, se2_classic, se2_robust
 
-    def triples_l(self, zmat, mom):
+    def triples_l(self, zmat, n1, mom):
         n, j, b = self.n, self.j, zmat.shape[0]
-        n1 = self._n1(zmat)
         if n1 < j + 2 or n - n1 < j + 2:
             raise DegenerateArm(f"interacted fit needs >= {j + 2} units per arm")
         rhs = np.zeros((j + 1, 2, 2 * b))
@@ -201,22 +218,24 @@ class CompleteEvaluator:
         return self.triples_each(zmat, (adjustment,))[adjustment]
 
     def triples_each(self, zmat: np.ndarray, adjustments) -> dict:
-        zmat = np.asarray(zmat, dtype=np.float64)
+        """Per adjustment, a (3, B) array of tau, classic se^2 and robust se^2.
+
+        This is the one loop over blocks of assignment rows. A replicate's last
+        bits depend on its block, so block bounds depend on the shape alone."""
         if zmat.ndim != 2 or zmat.shape[1] != self.n:
             raise DimensionMismatch(f"zmat must be (B, {self.n})")
         if self.j < 1 and set(adjustments) - {"n"}:
             raise DimensionMismatch("this adjustment needs at least one covariate column")
-        out = {a: self._TRIPLES[a](self, zmat) for a in adjustments if a in "nr"}
-        wide = [a for a in adjustments if a in "fl"]
-        # f and l share each block's moments; blocks are sized by the widest
-        # temporary, so their bounds depend on the shape alone
-        step = max(1, _MOMENT_ELEMENTS // (2 * self.quad_cols.size)) if wide else 1
-        parts = []
-        for s in range(0, len(zmat) or 1, step) if wide else ():
-            block = zmat[s : s + step]
-            mom = self._moments(block)
-            parts.append([self._TRIPLES[a](self, block, mom) for a in wide])
-        out.update((a, tuple(map(np.concatenate, zip(*p)))) for a, p in zip(wide, zip(*parts)))
+        step = _ROW_ELEMENTS // self.n
+        if self.j:
+            step = min(step, _MOMENT_ELEMENTS // (2 * self.quad_cols.size))
+        step, wide = max(1, step), {"f", "l"} & set(adjustments)
+        out = {a: np.empty((3, len(zmat))) for a in adjustments}
+        for s in range(0, len(zmat) or 1, step):
+            block = np.asarray(zmat[s : s + step], dtype=np.float64)
+            n1, mom = self._n1(block), self._moments(block) if wide else None
+            for a, triple in out.items():
+                triple[:, s : s + step] = self._TRIPLES[a](self, block, n1, mom)
         return out
 
 
@@ -232,16 +251,15 @@ class StratifiedEvaluator:
         # a stratum of consecutive units is read through a view, not a copy
         self.columns = [slice(i[0], i[-1] + 1) if i[-1] - i[0] < i.size else i for i in indices]
 
-    def triples(self, zmat: np.ndarray, adjustment: str):
-        return self.triples_each(zmat, (adjustment,))[adjustment]
+    triples = CompleteEvaluator.triples
 
     def triples_each(self, zmat: np.ndarray, adjustments) -> dict:
         out = {a: np.zeros((3, len(zmat))) for a in adjustments}
         for w, cols, part in zip(self.weights, self.columns, self.parts):
-            # one gather of the stratum's columns serves every adjustment
+            # one gather of the stratum's uint8 columns serves every adjustment
             for a, triple in part.triples_each(zmat[:, cols], adjustments).items():
                 out[a] += np.multiply(triple, [[w], [w**2], [w**2]])
-        return {a: tuple(v) for a, v in out.items()}
+        return out
 
 
 def make_evaluator(y, x, strata=None):
@@ -250,15 +268,10 @@ def make_evaluator(y, x, strata=None):
 
 def stat_matrix(evaluator, zmat: np.ndarray, specs: list[StatisticSpec]) -> np.ndarray:
     """(B, len(specs)) statistic values, computing each adjustment once."""
-    zmat = np.asarray(zmat, dtype=np.float64)
     by_adjustment = evaluator.triples_each(zmat, dict.fromkeys(s.adjustment for s in specs))
     out = np.empty((zmat.shape[0], len(specs)))
     for col, spec in enumerate(specs):
-        tau, se2_c, se2_r = by_adjustment[spec.adjustment]
-        if spec.studentization == "none":
-            out[:, col] = tau
-        elif spec.studentization == "classic":
-            out[:, col] = _studentized(tau, se2_c)
-        else:
-            out[:, col] = _studentized(tau, se2_r)
+        tau, se2_classic, se2_robust = by_adjustment[spec.adjustment]
+        se2 = se2_robust if spec.studentization == "robust" else se2_classic
+        out[:, col] = tau if spec.studentization == "none" else _studentized(tau, se2)
     return out

@@ -34,7 +34,7 @@ from .designs import (
     StratifiedDesign,
 )
 from .engine import frt_p_value, invert_ci, wald_ci
-from .errors import InvariantViolation, ParseError, RandtestError
+from .errors import InvariantViolation, ParseError, RandtestError, ZeroSe
 from .estimators import (
     Dataset,
     StatisticSpec,
@@ -295,7 +295,7 @@ def _cmd_analyze(args) -> dict:
     else:
         try:
             report["wald"] = list(wald_ci(triple, args.alpha))
-        except RandtestError:
+        except ZeroSe:
             report["wald"] = None
     return report
 

@@ -49,8 +49,7 @@ from .estimators import Dataset, _arm_counts, cluster_collapse
 _REJECTION_BATCH = 64
 # Rejection budget: candidates per accepted assignment.
 _MAX_TRIES = 10**6
-# Float64 values a batch draw may hold in temporaries at once; equal to the
-# engine's evaluation chunk.
+# Float64 values a batch draw may hold in temporaries at once.
 _BLOCK_ELEMENTS = 4_000_000
 # Values per block of rejection-sampling candidates: a few hundred rows, so
 # a block's float64 copy stays in cache and draws on worker threads stay small.

@@ -7,18 +7,17 @@ the test over a grid of constant-effect nulls into a confidence interval.
 
 `frt_p_value` and `frt_p_values` share one core: the design supplies the
 analysis form (`analysis_form`) and the reference set (drawn, or enumerated
-through `count`/`enumerate`), the batch evaluator is built once, the
-reference set is evaluated in fixed row chunks (`_eval_chunks`, the only
-thread pool here), and the extreme replicates of every statistic are
-counted at once. `invert_ci` takes its reference set from the same place.
+through `count`/`enumerate`) as uint8 rows, the batch evaluator is built
+once and evaluates the whole reference set, and the extreme replicates of
+every statistic are counted at once. `invert_ci` takes its reference set
+from the same place. The evaluator splits the rows into blocks, with bounds
+that depend on the problem shape alone, so results are bitwise reproducible.
 
 Monte Carlo replicates are drawn in fixed chunks of `_STREAM_ROWS` rows;
 chunk c draws its rows as one batch from the stream seeded by (seed, c).
 The chunk size depends on nothing else, so replicate i is a function of the
-seed and i alone: results are reproducible, a run of R replicates is the
-prefix of any longer run with the same seed, and evaluation chunks, whose
-boundaries depend on the problem shape alone, keep results bitwise
-reproducible.
+seed and i alone: results are reproducible, and a run of R replicates is the
+prefix of any longer run with the same seed.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import scipy.special
 from ._batch import _studentized, make_evaluator, stat_matrix
 from .designs import (
     DesignSpec,
-    _BLOCK_ELEMENTS,
     draw,  # unused here; perfbench/spans.py traces design draws at this name
     mahalanobis_many,  # unused here; perfbench/spans.py traces balance checks at this name
 )
@@ -56,7 +54,6 @@ from .estimators import (
 )
 
 EXHAUSTIVE_CAP = 1_000_000
-_CHUNK_ELEMENTS = _BLOCK_ELEMENTS
 # Replicates per random stream (see the module docstring).
 _STREAM_ROWS = 1024
 _SIDES = ("one", "two")
@@ -137,22 +134,6 @@ def _draw_matrix(design: DesignSpec, r: int, seed: int) -> np.ndarray:
     return out
 
 
-def _chunk_bounds(rows: int, n: int) -> list[tuple[int, int]]:
-    # Boundaries depend only on the problem shape: a replicate's last bits
-    # depend on the shape of the chunk its reductions run over, so a
-    # shape-only split keeps results bitwise reproducible.
-    size = max(1, _CHUNK_ELEMENTS // max(n, 1))
-    return [(s, min(s + size, rows)) for s in range(0, rows, size)]
-
-
-def _eval_chunks(fn, zmat: np.ndarray) -> np.ndarray:
-    """`fn` over fixed row chunks of `zmat`, results stacked in row order."""
-    bounds = _chunk_bounds(zmat.shape[0], zmat.shape[1])
-    if len(bounds) == 1:
-        return fn(zmat)
-    return np.concatenate([fn(zmat[s:e]) for s, e in bounds])
-
-
 def _replicate_count(r) -> int:
     r = int(r)
     if r < 1:
@@ -200,7 +181,7 @@ def _frt(data, specs, design, r, seed, exact, sided):
     adata, adesign = design.analysis_form(data)
     evaluator = make_evaluator(adata.y, adata.x, adesign.strata)
     zmat = _reference_set(adesign, r, seed, exact)
-    vals = _eval_chunks(lambda chunk: stat_matrix(evaluator, chunk, specs), zmat)
+    vals = stat_matrix(evaluator, zmat, specs)
     # exact mode reads t_obs off the enumerated observed row, so the observed
     # assignment ties with itself bit for bit
     row = _locate_row(zmat, adata.z) if exact else None
@@ -383,17 +364,13 @@ def invert_ci(
         adata_c, _ = design.analysis_form(shifted)
         evaluators.append(make_evaluator(adata_c.y, adata_c.x, adesign.strata))
 
-    def node_values(chunk):
+    def node_values(rows):
         # per row: tau at lo and hi, then the squared SE at lo, mid and hi
-        chunk = np.asarray(chunk, dtype=np.float64)
-        taus, se2s = [], []
-        for evaluator in evaluators:
-            tau, se2_classic, se2_robust = evaluator.triples(chunk, spec.adjustment)
-            taus.append(tau)
-            se2s.append(se2_robust if spec.studentization == "robust" else se2_classic)
-        return np.column_stack([taus[0], taus[2], *se2s])
+        se2 = 2 if spec.studentization == "robust" else 1  # row of the triple
+        at = [evaluator.triples(rows, spec.adjustment) for evaluator in evaluators]
+        return np.column_stack([at[0][0], at[2][0], *(triple[se2] for triple in at)])
 
-    vals = _eval_chunks(node_values, zmat)
+    vals = node_values(zmat)
     obs_row = _locate_row(zmat, adata.z) if exact else None
     obs = vals[obs_row : obs_row + 1] if obs_row is not None else node_values(adata.z[None, :])
 

@@ -30,7 +30,6 @@ from .engine import (
     FrtResult,
     _check_sided,
     _count_extreme,
-    _eval_chunks,
     _replicate_count,
     _streams,
 )
@@ -44,6 +43,8 @@ from .estimators import STUDENTIZATIONS, Dataset
 from .linalg import fit_ols
 
 SCHEMES = ("fl", "kennedy", "terbraak", "manly")
+# Permuted values per block of replicates, bounding its temporaries: cache-sized.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,9 @@ def perm_lm_p_value(
     prep = _Projection(data)
     t_obs = prep.observed_stat(spec.studentization)
     perms = _draw_permutations(data.n, r, int(seed))
-    vals = _eval_chunks(lambda chunk: prep.replicate_stats(chunk, spec), perms)
+    step = max(1, _BLOCK_ELEMENTS // data.n)
+    blocks = np.split(perms, range(step, r, step))
+    vals = np.concatenate([prep.replicate_stats(block, spec) for block in blocks])
     p = (1 + _count_extreme(vals, t_obs, sided)) / (1 + r)
     mc_se = math.sqrt(p * (1 - p) / r)
     return FrtResult(t_obs, vals, float(p), mc_se, "monte_carlo", int(seed), None, spec, sided)

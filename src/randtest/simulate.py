@@ -100,6 +100,11 @@ class ScenarioConfig:
             isinstance(self.rem_threshold, numbers.Real) and self.rem_threshold > 0
         ):
             raise InvariantViolation("a rerandomized scenario needs a positive rem_threshold")
+        steps = np.diff(self.stratum_cutoffs)
+        if not (np.all(steps >= 0) or np.all(steps <= 0)):
+            raise InvalidConfig(f"stratum_cutoffs must be monotonic, got {self.stratum_cutoffs}")
+        if not (self.treated.poly and self.control.poly):
+            raise InvalidConfig("an outcome polynomial needs at least one coefficient")
 
 
 @dataclass(frozen=True)

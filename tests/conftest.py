@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import randtest._batch as _batch
+import randtest.permlm as permlm
 from randtest import Dataset
 
 
@@ -26,3 +28,16 @@ def small_data():
         np.array([1, 1, 0, 0]),
         np.array([[0.0], [1.0], [0.0], [1.0]]),
     )
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """`small_blocks(elements)` caps the assignment entries per evaluation
+    block, and the permuted values per block of permlm replicates, at
+    `elements`: rows of N units then run in blocks of elements // N rows."""
+
+    def shrink(elements):
+        monkeypatch.setattr(_batch, "_ROW_ELEMENTS", elements)
+        monkeypatch.setattr(permlm, "_BLOCK_ELEMENTS", elements)
+
+    return shrink

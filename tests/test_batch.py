@@ -250,3 +250,21 @@ def test_f_and_l_peak_memory_stays_below_residual_passes(n, j, rows, peak_mib):
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20, (adjustment, peak / 2**20)
+
+
+def test_stratified_stat_matrix_never_copies_the_reference_set_to_float64():
+    # 40 strata of 50 units, J = 2: uint8 rows are cast to float64 a block at
+    # a time, so the peak stays below one float64 copy of the whole set
+    rng = gen(151)
+    strata = np.repeat(np.arange(40), 50)
+    design = StratifiedDesign(strata, ((50, 20),) * 40)
+    zmat = design.draw_batch(rng, 2000)
+    assert zmat.dtype == np.uint8
+    ev = StratifiedEvaluator(rng.normal(size=2000), rng.normal(size=(2000, 2)), strata)
+    tracemalloc.start()
+    try:
+        stat_matrix(ev, zmat, list(ALL_SPECS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < zmat.size * 8, peak / 2**20

@@ -247,6 +247,13 @@ def test_analyze_constant_outcome_wald_degenerates(tmp_path, capsysbinary):
     assert report["wald"] is None
 
 
+@pytest.mark.parametrize("alpha", ["5", "-1"])
+def test_analyze_alpha_out_of_range_is_a_json_error(alpha, csv8, capsysbinary):
+    code, report = run_json(["analyze", csv8, "--reps", "20", "--alpha", alpha], capsysbinary)
+    assert code == 1
+    assert report["error"]["type"] == "InvariantViolation"
+
+
 def test_analyze_ci(csv12, capsysbinary):
     code, report = run_json(
         ["analyze", csv12, "--ci", "--reps", "200", "--stat", "l"], capsysbinary
@@ -411,6 +418,8 @@ def test_simulate_invalid_utf8_config(tmp_path, capsysbinary):
         {"statistics": ["n:robust:extra"]},
         {"reps": "abc"},
         {"treated": {"poly": [0.0]}},
+        {"treated": {"poly": [], "sd": 1.0}},
+        {"design_kind": "stratified", "stratum_cutoffs": [0.5, -0.5, 0.0]},
     ],
 )
 def test_simulate_malformed_config_is_a_json_error(fields, tmp_path, capsysbinary):

@@ -111,22 +111,22 @@ def _data_for(kind):
     return Dataset(data.y, z, data.x)
 
 
-def _chunked_runs(monkeypatch, run, n):
-    """`run()` with the reference set in one evaluation chunk, then in
-    chunks of 50 and of 7 rows (`n` analyzed units per row)."""
+def _chunked_runs(small_blocks, run, n):
+    """`run()` with the reference set in one evaluation block, then in
+    blocks of at most 50 and of 7 rows (`n` analyzed units per row)."""
     runs = [run()]
     for rows in (50, 7):
-        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", n * rows)
+        small_blocks(n * rows)
         runs.append(run())
     return runs
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_results_invariant_to_chunk_count(kind, monkeypatch):
+def test_results_invariant_to_chunk_count(kind, monkeypatch, small_blocks):
     monkeypatch.setattr(engine, "_STREAM_ROWS", 64)
     data, design = _data_for(kind), _design(kind)
     runs = _chunked_runs(
-        monkeypatch,
+        small_blocks,
         lambda: engine._frt(data, list(ALL_SPECS), design, 300, 9, False, "two"),
         design.analysis_form(data)[1].n_units,
     )
@@ -136,11 +136,11 @@ def test_results_invariant_to_chunk_count(kind, monkeypatch):
         np.testing.assert_allclose(vals, runs[0][1], rtol=1e-12, atol=1e-12)
 
 
-def test_permlm_invariant_to_chunk_count(monkeypatch):
+def test_permlm_invariant_to_chunk_count(monkeypatch, small_blocks):
     monkeypatch.setattr(engine, "_STREAM_ROWS", 64)
     data = random_dataset(14, n=30, j=2)
     spec = PermLmSpec("fl", "robust")
-    runs = _chunked_runs(monkeypatch, lambda: perm_lm_p_value(data, spec, r=300, seed=2), 30)
+    runs = _chunked_runs(small_blocks, lambda: perm_lm_p_value(data, spec, r=300, seed=2), 30)
     for res in runs[1:]:
         assert res.p_value == runs[0].p_value
         np.testing.assert_allclose(res.replicates, runs[0].replicates, rtol=1e-12, atol=1e-12)

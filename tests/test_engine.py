@@ -136,13 +136,13 @@ def test_mc_p_value_bounds_and_se():
     assert res.mc_se == pytest.approx(math.sqrt(res.p_value * (1 - res.p_value) / 99))
 
 
-def test_mc_deterministic_across_chunk_counts(monkeypatch):
+def test_mc_deterministic_across_chunk_counts(small_blocks):
     data = random_dataset(233, n=50, j=2)
     design = CompleteDesign(50, 25)
     base = frt_p_value(data, N_ROBUST, design, r=400, seed=11)
     # force the chunked path; boundaries depend on shape only, so a rerun is
     # bitwise identical and agrees with the one-chunk run to rounding
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 50 * 37)
+    small_blocks(50 * 37)
     chunked = frt_p_value(data, N_ROBUST, design, r=400, seed=11)
     rerun = frt_p_value(data, N_ROBUST, design, r=400, seed=11)
     np.testing.assert_array_equal(chunked.replicates, rerun.replicates)
@@ -202,9 +202,9 @@ def _design_case(kind):
 
 
 @pytest.mark.parametrize("kind", ["complete", "cluster", "stratified", "rem"])
-def test_frt_p_values_matches_single_calls(kind, monkeypatch):
+def test_frt_p_values_matches_single_calls(kind, small_blocks):
     data, design = _design_case(kind)
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 24 * 37)  # several evaluation chunks
+    small_blocks(24 * 37)  # several evaluation blocks
     specs = list(ALL_SPECS)
     t_obs, p = frt_p_values(data, specs, design, r=150, seed=9)
     for i, spec in enumerate(specs):

@@ -178,13 +178,13 @@ def test_closed_form_matches_grid_scan(name):
             assert inside.p_value > ALPHA >= outside.p_value, spec.label
 
 
-def test_chunked_inversion_is_bitwise_stable(monkeypatch):
+def test_chunked_inversion_is_bitwise_stable(small_blocks):
     data = _complete(407, 60, 30)
     design = CompleteDesign(60, 30)
     base = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5)
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 60 * 37)
+    small_blocks(60 * 37)
     chunked = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5)
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 60 * 7)
+    small_blocks(60 * 7)
     finer = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5)
     np.testing.assert_array_equal(chunked.p_values, finer.p_values)
     np.testing.assert_array_equal(chunked.p_values, base.p_values)
@@ -219,9 +219,9 @@ def test_p_curve_matches_grid():
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2])
-def test_zero_replicates_rejected(chunk_rows, monkeypatch):
-    # rejected before evaluation, however small the evaluation chunks are
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 20 * chunk_rows)
+def test_zero_replicates_rejected(chunk_rows, small_blocks):
+    # rejected before evaluation, however small the evaluation blocks are
+    small_blocks(20 * chunk_rows)
     data = random_dataset(409, n=20, j=1)
     design = CompleteDesign(20, 10)
     with pytest.raises(InvariantViolation):

@@ -2,12 +2,12 @@
 Frisch-Waugh coefficient identity, and distributional sanity checks."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-import randtest.engine as engine
 from randtest import (
     CompleteDesign,
     Dataset,
@@ -143,7 +143,7 @@ def test_replicates_look_normal_at_large_n():
         assert dist < 0.05, scheme
 
 
-def test_perm_lm_p_value_contract(monkeypatch):
+def test_perm_lm_p_value_contract(small_blocks):
     data = random_dataset(367, n=26, j=2)
     spec = PermLmSpec("fl", "robust")
     res = perm_lm_p_value(data, spec, r=99, seed=3)
@@ -151,7 +151,7 @@ def test_perm_lm_p_value_contract(monkeypatch):
     assert res.design is None
     assert res.spec == spec
     assert res.p_value >= 1.0 / 100.0
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 26 * 10)  # ten evaluation chunks
+    small_blocks(26 * 10)  # ten evaluation blocks
     again = perm_lm_p_value(data, spec, r=99, seed=3)
     assert again.p_value == res.p_value
     np.testing.assert_allclose(res.replicates, again.replicates, rtol=1e-12, atol=1e-12)
@@ -172,3 +172,17 @@ def test_zero_denominator_when_z_spanned():
     data = Dataset(y, z, z.astype(np.float64)[:, None])
     with pytest.raises(ZeroDenominator):
         _Projection(data)
+
+
+def test_perm_lm_p_value_peak_memory_is_bounded_by_its_permutations():
+    # replicates are evaluated in blocks, so the (rows, N) float64 temporaries
+    # never span the whole set: the peak stays below twice the int64
+    # permutation matrix
+    data = random_dataset(389, n=1000, j=3)
+    tracemalloc.start()
+    try:
+        perm_lm_p_value(data, PermLmSpec("fl", "robust"), r=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2000 * 1000 * 8, peak / 2**20

@@ -343,6 +343,8 @@ def test_config_rejects_unknown_fields():
         {"treated": {"poly": [0.0]}},
         {"control": {"poly": ["x"], "sd": 1.0}},
         {"stratum_cutoffs": [[0.0]]},
+        {"design_kind": "stratified", "stratum_cutoffs": [0.5, -0.5, 0.0]},
+        {"treated": {"poly": [], "sd": 1.0}},
         {"center": "no"},
         {"shared_noise": "false"},
         {"shared_noise": 0},
