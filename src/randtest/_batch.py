@@ -220,8 +220,9 @@ class CompleteEvaluator:
     def triples_each(self, zmat: np.ndarray, adjustments) -> dict:
         """Per adjustment, a (3, B) array of tau, classic se^2 and robust se^2.
 
-        This is the one loop over blocks of assignment rows. A replicate's last
-        bits depend on its block, so block bounds depend on the shape alone."""
+        The treated count is checked once over all rows. This is the one loop
+        over blocks of assignment rows; a replicate's last bits depend on its
+        block, so block bounds depend on the shape alone."""
         if zmat.ndim != 2 or zmat.shape[1] != self.n:
             raise DimensionMismatch(f"zmat must be (B, {self.n})")
         if self.j < 1 and set(adjustments) - {"n"}:
@@ -230,10 +231,10 @@ class CompleteEvaluator:
         if self.j:
             step = min(step, _MOMENT_ELEMENTS // (2 * self.quad_cols.size))
         step, wide = max(1, step), {"f", "l"} & set(adjustments)
-        out = {a: np.empty((3, len(zmat))) for a in adjustments}
-        for s in range(0, len(zmat) or 1, step):
+        n1, out = self._n1(zmat), {a: np.empty((3, len(zmat))) for a in adjustments}
+        for s in range(0, len(zmat), step):
             block = np.asarray(zmat[s : s + step], dtype=np.float64)
-            n1, mom = self._n1(block), self._moments(block) if wide else None
+            mom = self._moments(block) if wide else None
             for a, triple in out.items():
                 triple[:, s : s + step] = self._TRIPLES[a](self, block, n1, mom)
         return out

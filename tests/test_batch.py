@@ -130,6 +130,18 @@ def test_mixed_arm_sizes_rejected(adjustment):
         CompleteEvaluator(data.y, data.x).triples(zmat, adjustment)
 
 
+@pytest.mark.parametrize("adjustment", "nrfl")
+def test_mixed_arm_sizes_rejected_across_blocks(adjustment, small_blocks):
+    # rows 4 and 5 treat 11 units and fill the last evaluation block alone
+    small_blocks(20 * 2)
+    data = random_dataset(131, n=20, j=1)
+    zmat = _random_zmat(gen(137), 6, 20, 10)
+    for row in (4, 5):
+        zmat[row, np.flatnonzero(zmat[row] == 0)[0]] = 1
+    with pytest.raises(InvalidSizes):
+        CompleteEvaluator(data.y, data.x).triples(zmat, adjustment)
+
+
 # -- differential fuzz: batch triples against the reference refits ----------------
 
 # Smallest singular value of the covariate mixing matrix, as a power of ten:
