@@ -140,8 +140,8 @@ def test_mc_deterministic_across_chunk_counts(small_blocks):
     data = random_dataset(233, n=50, j=2)
     design = CompleteDesign(50, 25)
     base = frt_p_value(data, N_ROBUST, design, r=400, seed=11)
-    # force the chunked path; boundaries depend on shape only, so a rerun is
-    # bitwise identical and agrees with the one-chunk run to rounding
+    # force several evaluation blocks; bounds depend on shape only, so a rerun
+    # is bitwise identical and agrees with the one-block run to rounding
     small_blocks(50 * 37)
     chunked = frt_p_value(data, N_ROBUST, design, r=400, seed=11)
     rerun = frt_p_value(data, N_ROBUST, design, r=400, seed=11)
