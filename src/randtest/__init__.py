@@ -46,7 +46,6 @@ from .errors import (
     TooLarge,
     UnknownScenario,
     ZeroDenominator,
-    ZeroRegressor,
     ZeroSe,
 )
 from .estimators import (
@@ -68,7 +67,7 @@ from .estimators import (
     tau_neyman,
     tau_rosenbaum,
 )
-from .linalg import OlsFit, fit_ols, univariate_ols
+from .linalg import OlsFit, fit_ols
 from .permlm import (
     SCHEMES,
     PermLmSpec,

@@ -38,7 +38,7 @@ from .errors import InvariantViolation, ParseError, RandtestError, ZeroSe
 from .estimators import (
     Dataset,
     StatisticSpec,
-    cluster_collapse,  # unused here; perfbench/spans.py traces cluster collapses at this name
+    cluster_collapse,
     estimate,
     estimate_stratified,
 )
@@ -206,14 +206,8 @@ def _build_design(args, data: Dataset) -> tuple[DesignSpec, list[str] | None]:
             raise InvariantViolation("--design stratified needs a stratum column")
         return StratifiedDesign.from_observed(data.strata, data.z), None
     if args.design == "cluster":
-        if data.clusters is None:
-            raise InvariantViolation("dataset has no cluster labels")
-        # counted as `cluster_collapse` forms them (codes 0..max, treated when
-        # any unit is) and checked as its Dataset is, without collapsing
-        m, m1 = int(data.clusters.max()) + 1, np.unique(data.clusters[data.z == 1]).size
-        if m1 < 2 or m - m1 < 2:
-            raise InvariantViolation(f"each arm needs >= 2 units, got N1={m1}, N0={m - m1}")
-        return ClusterDesign(m, m1), None
+        collapsed = cluster_collapse(data)
+        return ClusterDesign(collapsed.n, collapsed.n1), None
     if args.rem_a is None:
         raise InvariantViolation("--design rem needs --rem-a")
     if data.j < 1:
@@ -246,7 +240,7 @@ def _cmd_analyze(args) -> dict:
     if rem_cols is not None:
         described["columns"] = rem_cols
     result = frt_p_value(
-        data, spec, design, r=args.reps, seed=args.seed, exact=args.exact, sided=args.sided
+        adata, spec, adesign, r=args.reps, seed=args.seed, exact=args.exact, sided=args.sided
     )
     report = _base_report("analyze")
     report.update(

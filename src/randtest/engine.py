@@ -10,8 +10,11 @@ analysis form (`analysis_form`) and the reference set (drawn, or enumerated
 through `count`/`enumerate`) as uint8 rows, the batch evaluator is built
 once and evaluates the whole reference set, and the extreme replicates of
 every statistic are counted at once. `invert_ci` takes its reference set
-from the same place. The evaluator splits the rows into blocks, with bounds
-that depend on the problem shape alone, so results are bitwise reproducible.
+and its analysis form from the same place. Both read the observed statistic
+and turn extreme counts into p-values by one rule each (`_observed`,
+`_p_value`), which `perm_lm_p_value` shares. The evaluator splits the rows
+into blocks, with bounds that depend on the problem shape alone, so results
+are bitwise reproducible.
 
 Monte Carlo replicates are drawn in fixed chunks of `_STREAM_ROWS` rows;
 chunk c draws its rows as one batch from the stream seeded by (seed, c).
@@ -27,7 +30,7 @@ import warnings
 from concurrent.futures import (
     ThreadPoolExecutor,  # unused here; perfbench/spans.py wraps pool tasks at this name
 )
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.special
@@ -153,9 +156,24 @@ def _reference_set(design: DesignSpec, r, seed, exact: bool) -> np.ndarray:
     return _draw_matrix(design, _replicate_count(r), int(seed))
 
 
-def _locate_row(zmat: np.ndarray, z: np.ndarray) -> int | None:
-    hits = np.flatnonzero((zmat == z.astype(zmat.dtype)).all(axis=1))
-    return int(hits[0]) if hits.size else None
+def _observed(vals: np.ndarray, zmat: np.ndarray, z: np.ndarray, exact: bool, evaluate):
+    """The one row of values at the observed assignment `z`.
+
+    Exact mode reads it off the enumerated observed row of `vals`, so the
+    observed assignment ties with itself bit for bit; otherwise, or when the
+    reference set lacks it, it is `evaluate(z[None, :])`.
+    """
+    if exact:
+        hits = np.flatnonzero((zmat == z.astype(zmat.dtype)).all(axis=1))
+        if hits.size:
+            return vals[hits[0] : hits[0] + 1]
+    return evaluate(z[None, :])
+
+
+def _p_value(extreme, m: int, exact: bool):
+    """The plain fraction #extreme/m in exact mode, the add-one rule
+    (1 + #extreme)/(1 + m) in Monte Carlo mode."""
+    return extreme / m if exact else (1 + extreme) / (1 + m)
 
 
 def _count_extreme(vals: np.ndarray, t_obs, sided: str):
@@ -172,23 +190,15 @@ def _count_extreme(vals: np.ndarray, t_obs, sided: str):
 
 
 def _frt(data, specs, design, r, seed, exact, sided):
-    """(t_obs, replicates, p-values) of `specs` over one reference set.
-
-    Replicates are (rows, len(specs)); p-values follow the add-one rule in
-    Monte Carlo mode and are plain fractions in exact mode.
-    """
+    """(t_obs, replicates, p-values) of `specs` over one reference set;
+    replicates are (rows, len(specs))."""
     _check_sided(sided)
     adata, adesign = design.analysis_form(data)
     evaluator = make_evaluator(adata.y, adata.x, adesign.strata)
     zmat = _reference_set(adesign, r, seed, exact)
     vals = stat_matrix(evaluator, zmat, specs)
-    # exact mode reads t_obs off the enumerated observed row, so the observed
-    # assignment ties with itself bit for bit
-    row = _locate_row(zmat, adata.z) if exact else None
-    t_obs = vals[row] if row is not None else stat_matrix(evaluator, adata.z[None, :], specs)[0]
-    extreme = _count_extreme(vals, t_obs, sided)
-    m = vals.shape[0]
-    return t_obs, vals, extreme / m if exact else (1 + extreme) / (1 + m)
+    t_obs = _observed(vals, zmat, adata.z, exact, lambda z: stat_matrix(evaluator, z, specs))[0]
+    return t_obs, vals, _p_value(_count_extreme(vals, t_obs, sided), vals.shape[0], exact)
 
 
 def frt_p_value(
@@ -307,14 +317,16 @@ def invert_ci(
 ) -> CiResult:
     """Confidence interval by inverting constant-effect randomization tests.
 
-    Each grid point c is tested by running the FRT on outcomes Y - cZ
-    (subtracted at the unit level, before any cluster collapsing). All grid
-    points share one set of reference assignments, so the acceptance region
-    boundary is stable. The interval ends where the acceptance region ends:
-    each endpoint is the last accepted shift of a bisection, to float
-    resolution, between the outermost non-rejected grid point and its
-    rejected neighbour, so it carries no grid error; an accepted region that
-    reaches a grid edge ends there.
+    Each grid point c is tested by running the FRT on outcomes Y - cZ, which
+    analyze as adata.y - c z_form: the analysis form is linear in y, and
+    z_form, the form of Z taken as an outcome, is Z itself except under a
+    cluster design, where it holds the treated clusters' scaled sizes. All
+    grid points share one set of reference assignments, so the acceptance
+    region boundary is stable. The interval ends where the acceptance region
+    ends: each endpoint is the last accepted shift of a bisection, to float
+    resolution, between the outermost non-rejected grid point and its rejected
+    neighbour, so it carries no grid error; an accepted region that reaches a
+    grid edge ends there.
 
     The reference set is evaluated only at the grid's ends and midpoint.
     Every fit depends on the reference assignment and X alone, so a
@@ -353,16 +365,9 @@ def invert_ci(
     zmat = _reference_set(adesign, r, seed, exact)
     m = zmat.shape[0]
 
+    z_form = design.analysis_form(replace(data, y=data.z.astype(np.float64)))[0].y
     nodes = (lo, lo + (hi - lo) / 2, hi)
-    z_float = np.asarray(data.z, dtype=np.float64)
-    x_arg = data.x if data.j else None
-    evaluators = []
-    for c in nodes:
-        shifted = Dataset(
-            data.y - c * z_float, data.z, x_arg, strata=data.strata, clusters=data.clusters
-        )
-        adata_c, _ = design.analysis_form(shifted)
-        evaluators.append(make_evaluator(adata_c.y, adata_c.x, adesign.strata))
+    evaluators = [make_evaluator(adata.y - c * z_form, adata.x, adesign.strata) for c in nodes]
 
     def node_values(rows):
         # per row: tau at lo and hi, then the squared SE at lo, mid and hi
@@ -371,14 +376,12 @@ def invert_ci(
         return np.column_stack([at[0][0], at[2][0], *(triple[se2] for triple in at)])
 
     vals = node_values(zmat)
-    obs_row = _locate_row(zmat, adata.z) if exact else None
-    obs = vals[obs_row : obs_row + 1] if obs_row is not None else node_values(adata.z[None, :])
+    obs = _observed(vals, zmat, adata.z, exact, node_values)
 
     def p_at(shifts):
         t_obs = _stat_at_shift(obs, nodes, shifts, spec.studentization)[0]
         reps = _stat_at_shift(vals, nodes, shifts, spec.studentization)
-        extreme = _count_extreme(reps, t_obs, sided)
-        return extreme / m if exact else (1 + extreme) / (1 + m)
+        return _p_value(_count_extreme(reps, t_obs, sided), m, exact)
 
     cols = max(1, _GRID_ELEMENTS // m)
     p_vals = np.concatenate([p_at(points[s : s + cols]) for s in range(0, num, cols)])

@@ -20,10 +20,6 @@ class RankDeficient(RandtestError):
     """Design matrix is numerically rank deficient."""
 
 
-class ZeroRegressor(RandtestError):
-    """Univariate regressor has zero norm."""
-
-
 class DegenerateArm(RandtestError):
     """A treatment arm is too small for the requested estimator."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, RankDeficient, ZeroRegressor
+from .errors import DimensionMismatch, InvariantViolation, RankDeficient
 
 # Relative rank tolerance: a pivot below RANK_TOL times the largest pivot
 # marks the column as numerically dependent.
@@ -71,6 +71,8 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     ------
     DimensionMismatch
         If shapes are inconsistent or N <= p.
+    InvariantViolation
+        If x or y holds a non-finite value.
     RankDeficient
         If the numerical rank is below p (pivoted QR, relative
         tolerance 1e-10 against the largest pivot).
@@ -89,7 +91,7 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     if n <= p:
         raise DimensionMismatch(f"need more rows than columns, got N={n}, p={p}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("fit_ols requires finite inputs")
+        raise InvariantViolation("fit_ols requires finite inputs")
 
     q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
     pivots = np.abs(np.diag(r))
@@ -124,38 +126,3 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
         robust_cov=robust_cov,
         dof=n - p,
     )
-
-
-def univariate_ols(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    """No-intercept OLS of u on a single regressor v.
-
-    Returns
-    -------
-    (coefficient, classic_se, robust_se)
-        coefficient = v'u / ||v||^2; classic se^2 uses the N-1 divisor
-        (p = 1 column); robust se^2 = sum(v_i^2 eta_i^2) / ||v||^4 with
-        eta = u - v * coefficient.
-
-    Raises
-    ------
-    ZeroRegressor
-        If ||v||^2 = 0.
-    DimensionMismatch
-        If lengths differ.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionMismatch("u and v must be 1D vectors of equal length")
-    n = u.shape[0]
-    if n < 2:
-        raise DimensionMismatch("need at least 2 observations")
-    vv = float(v @ v)
-    if vv == 0.0:
-        raise ZeroRegressor("regressor has zero norm")
-    tau0 = float(v @ u) / vv
-    eta = u - v * tau0
-    # ||eta||^2 / ||v||^2 equals ||u||^2/||v||^2 - tau0^2 but cannot go negative.
-    classic_se2 = float(eta @ eta) / vv / (n - 1)
-    robust_se2 = float((v * eta) @ (v * eta)) / vv**2
-    return tau0, float(np.sqrt(classic_se2)), float(np.sqrt(robust_se2))

@@ -30,6 +30,7 @@ from .engine import (
     FrtResult,
     _check_sided,
     _count_extreme,
+    _p_value,
     _replicate_count,
     _streams,
 )
@@ -238,6 +239,6 @@ def perm_lm_p_value(
     step = max(1, _BLOCK_ELEMENTS // data.n)
     blocks = np.split(perms, range(step, r, step))
     vals = np.concatenate([prep.replicate_stats(block, spec) for block in blocks])
-    p = (1 + _count_extreme(vals, t_obs, sided)) / (1 + r)
+    p = _p_value(_count_extreme(vals, t_obs, sided), r, False)
     mc_se = math.sqrt(p * (1 - p) / r)
     return FrtResult(t_obs, vals, float(p), mc_se, "monte_carlo", int(seed), None, spec, sided)

@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.special
@@ -406,21 +406,4 @@ def _parse_fields(raw: dict) -> dict:
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "n": cfg.n,
-        "treated": {"poly": list(cfg.treated.poly), "sd": cfg.treated.sd},
-        "control": {"poly": list(cfg.control.poly), "sd": cfg.control.sd},
-        "center": cfg.center,
-        "shared_noise": cfg.shared_noise,
-        "design_kind": cfg.design_kind,
-        "treated_fraction": cfg.treated_fraction,
-        "stratum_cutoffs": list(cfg.stratum_cutoffs),
-        "rem_threshold": cfg.rem_threshold,
-        "reps": cfg.reps,
-        "permutations": cfg.permutations,
-        "alpha": cfg.alpha,
-        "statistics": [s.label for s in cfg.statistics],
-        "population_seed": cfg.population_seed,
-        "assignment_seed": cfg.assignment_seed,
-    }
+    return {**asdict(cfg), "statistics": [s.label for s in cfg.statistics]}

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -252,6 +253,22 @@ def test_analyze_alpha_out_of_range_is_a_json_error(alpha, csv8, capsysbinary):
     code, report = run_json(["analyze", csv8, "--reps", "20", "--alpha", alpha], capsysbinary)
     assert code == 1
     assert report["error"]["type"] == "InvariantViolation"
+
+
+@pytest.mark.parametrize(
+    "stat, error", [("n", "RankDeficient"), ("r", "RankDeficient"), ("f", "RankDeficient"),
+                    ("l", "InvariantViolation")]
+)
+def test_analyze_overflowing_covariates_are_json_errors(stat, error, tmp_path, capsysbinary):
+    # finite covariates whose column sum overflows float64
+    path = tmp_path / "huge.csv"
+    cells = (f"{0.1 * i - 1:.1f},{i % 2},{1e308 + i * (0.7e308 / 19)!r}\n" for i in range(20))
+    path.write_text("y,z,x1\n" + "".join(cells))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code, report = run_json(["analyze", str(path), "--stat", stat, "--reps", "20"], capsysbinary)
+    assert code == 1
+    assert report["error"]["type"] == error
 
 
 def test_analyze_ci(csv12, capsysbinary):

@@ -160,14 +160,14 @@ def test_fisher_equals_rosenbaum_when_balanced():
 
 
 def test_fisher_fwl_univariate_route():
-    from randtest import univariate_ols
+    from randtest import fit_ols
 
     data = random_dataset(43, n=26, j=2)
     ones_x = np.column_stack([np.ones(data.n), data.x])
     h = ones_x @ np.linalg.solve(ones_x.T @ ones_x, ones_x.T)
     resid = np.eye(data.n) - h
-    coef, _, _ = univariate_ols(resid @ data.y, resid @ data.z.astype(np.float64))
-    assert abs(coef - tau_fisher(data).tau_hat) < 1e-12
+    fit = fit_ols((resid @ data.z.astype(np.float64))[:, None], resid @ data.y)
+    assert abs(fit.coefficients[0] - tau_fisher(data).tau_hat) < 1e-12
 
 
 # -- interacted adjustment ----------------------------------------------------

@@ -62,15 +62,15 @@ def _stratified(seed):
     return data, StratifiedDesign.from_observed(strata, z)
 
 
-def _clustered(seed):
+def _clustered(seed, sizes):
     rng = gen(seed)
-    m, size = 16, 3
-    clusters = np.repeat(np.arange(m), size)
+    m = len(sizes)
+    clusters = np.repeat(np.arange(m), sizes)
     treated = np.zeros(m, dtype=np.int64)
     treated[rng.permutation(m)[:7]] = 1
     z = treated[clusters]
-    x = rng.normal(size=(m * size, 1))
-    y = x[:, 0] + 0.6 * z + rng.normal(size=m)[clusters] + rng.normal(size=m * size)
+    x = rng.normal(size=(clusters.size, 1))
+    y = x[:, 0] + 0.6 * z + rng.normal(size=m)[clusters] + rng.normal(size=clusters.size)
     return Dataset(y, z, x, clusters=clusters), ClusterDesign(m, 7)
 
 
@@ -89,7 +89,10 @@ def _case(name):
     if name == "stratified":
         return (*_stratified(403), 99, False)
     if name == "cluster":
-        return (*_clustered(404), 99, False)
+        return (*_clustered(404, [3] * 16), 99, False)
+    if name == "cluster-unequal":
+        # the analysis form of Z is then the scaled sizes, not the cluster indicator
+        return (*_clustered(410, 1 + np.arange(16) % 5), 99, False)
     if name == "rem":
         return (*_rem(405), 49, False)  # ReM draws are the slow part of the oracle
     if name == "exact-half":
@@ -104,6 +107,7 @@ CASES = (
     "complete-unbalanced",
     "stratified",
     "cluster",
+    "cluster-unequal",
     "rem",
     "exact-half",
     "exact-unbalanced",

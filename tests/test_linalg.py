@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randtest import DimensionMismatch, RankDeficient, ZeroRegressor, fit_ols, univariate_ols
+from randtest import RankDeficient, fit_ols
 from conftest import gen
 
 
@@ -29,23 +29,11 @@ def test_hc0_two_group_entry_is_one():
 
 
 def test_univariate_hand_example():
-    # u = (1,-1), v = (1,1): tau0 = 0, classic se^2 = 1, robust se^2 = 0.5
-    tau0, se_c, se_r = univariate_ols(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
-    assert tau0 == 0.0
-    np.testing.assert_allclose(se_c**2, 1.0, atol=1e-14)
-    np.testing.assert_allclose(se_r**2, 0.5, atol=1e-14)
-
-
-def test_univariate_agrees_with_fit_ols():
-    rng = gen(7)
-    for _ in range(20):
-        v = rng.normal(size=12)
-        u = 0.3 * v + rng.normal(size=12)
-        tau0, se_c, se_r = univariate_ols(u, v)
-        fit = fit_ols(v[:, None], u)
-        assert abs(tau0 - fit.coefficients[0]) < 1e-12
-        assert abs(se_c - np.sqrt(fit.classic_cov[0, 0])) < 1e-12
-        assert abs(se_r - np.sqrt(fit.robust_cov[0, 0])) < 1e-12
+    # u = (1,-1) on v = (1,1) alone: tau0 = 0, classic se^2 = 1, robust se^2 = 0.5
+    fit = fit_ols(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
+    np.testing.assert_allclose(fit.coefficients[0], 0.0, atol=1e-14)
+    np.testing.assert_allclose(fit.classic_cov[0, 0], 1.0, atol=1e-14)
+    np.testing.assert_allclose(fit.robust_cov[0, 0], 0.5, atol=1e-14)
 
 
 def test_residuals_orthogonal_to_design():
@@ -88,10 +76,5 @@ def test_rank_deficient_raises():
     x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     with pytest.raises(RankDeficient):
         fit_ols(x, np.array([1.0, 2.0, 3.0]))
-
-
-def test_univariate_errors():
-    with pytest.raises(ZeroRegressor):
-        univariate_ols(np.array([1.0, 2.0]), np.zeros(2))
-    with pytest.raises(DimensionMismatch):
-        univariate_ols(np.ones(3), np.ones(4))
+    with pytest.raises(RankDeficient):
+        fit_ols(np.zeros((2, 1)), np.array([1.0, 2.0]))

@@ -3,8 +3,10 @@
 Under the design-based theory the exact p-value is a function of the
 population and the design only, so it must not move when the units are
 relabelled, and designs that define the same assignment space must give the
-same p-value. Every relation is checked on all twelve statistics and
-compared for equality.
+same p-value. Nor may it move under the maps a statistic is invariant to:
+an affine map of the outcome for the studentized statistics, and an affine
+map of the covariates for the adjusted ones. Every relation is checked on
+all the statistics it covers and compared for equality.
 """
 
 import numpy as np
@@ -22,8 +24,12 @@ from randtest import (
 from conftest import gen
 
 
-def exact_p(data, design):
-    return [frt_p_value(data, spec, design, exact=True).p_value for spec in ALL_SPECS]
+STUDENTIZED = [spec for spec in ALL_SPECS if spec.studentization != "none"]
+ADJUSTED = [spec for spec in ALL_SPECS if spec.adjustment != "n"]
+
+
+def exact_p(data, design, specs=ALL_SPECS, sided="two"):
+    return [frt_p_value(data, spec, design, exact=True, sided=sided).p_value for spec in specs]
 
 
 def relabel(data, order):
@@ -91,3 +97,25 @@ def test_singleton_clusters_are_the_complete_design(data, pick):
     assert exact_p(clustered, ClusterDesign(data.n, data.n1)) == exact_p(
         data, CompleteDesign(data.n, data.n1)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_cases(), st.floats(-5, 5), st.floats(0.1, 10), st.sampled_from(["one", "two", "flip"]))
+def test_affine_outcome_keeps_studentized_p(data, a, b, case):
+    # t(a + b y) = sign(b) t(y): b > 0 keeps either side's p, b < 0 the two-sided one
+    sided, b = ("two", -b) if case == "flip" else (case, b)
+    design = CompleteDesign(data.n, data.n1)
+    moved = Dataset(a + b * data.y, data.z, data.x)
+    assert exact_p(moved, design, STUDENTIZED, sided) == exact_p(data, design, STUDENTIZED, sided)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_cases(), st.integers(0, 2**32 - 1))
+def test_affine_covariates_keep_adjusted_p(data, seed):
+    # (1, XA + c) spans what (1, X) does for nonsingular A
+    rng = gen(seed)
+    q = np.linalg.qr(rng.normal(size=(data.j, data.j)))[0]
+    a = q * rng.uniform(0.5, 2.0, size=data.j) * rng.choice([-1.0, 1.0], size=data.j)
+    moved = Dataset(data.y, data.z, data.x @ a + rng.normal(scale=5.0, size=data.j))
+    design = CompleteDesign(data.n, data.n1)
+    assert exact_p(moved, design, ADJUSTED) == exact_p(data, design, ADJUSTED)
