@@ -100,7 +100,9 @@ def test_singleton_clusters_are_the_complete_design(data, pick):
 
 
 @settings(max_examples=60, deadline=None)
-@given(complete_cases(), st.floats(-5, 5), st.floats(0.1, 10), st.sampled_from(["one", "two", "flip"]))
+@given(
+    complete_cases(), st.floats(-5, 5), st.floats(0.1, 10), st.sampled_from(["one", "two", "flip"])
+)
 def test_affine_outcome_keeps_studentized_p(data, a, b, case):
     # t(a + b y) = sign(b) t(y): b > 0 keeps either side's p, b < 0 the two-sided one
     sided, b = ("two", -b) if case == "flip" else (case, b)
