@@ -104,13 +104,15 @@ def _read_utf8(path: str, what: str) -> str:
 def load_csv(path: str) -> Dataset:
     """Dataset from a headed CSV with columns y, z, x1..xJ, stratum, cluster.
 
-    Covariate columns must be numbered contiguously from x1. Cell errors
-    report 1-based file row and the offending column name.
+    Covariate columns must be numbered contiguously from x1. Cells are
+    stripped and parsed as Python's float() parses them. A ParseError names
+    the first bad cell, in column order y, z, x1..xJ, stratum, cluster, then
+    in row order, by its 1-based file row and column name.
     """
     reader = csv.reader(io.StringIO(_read_utf8(path, "bad CSV"), newline=""))
     try:
         header = [h.strip() for h in next(reader)]
-        rows = [[cell.strip() for cell in row] for row in reader]
+        rows = list(reader)
     except StopIteration:
         raise ParseError("empty file", row=0, column="") from None
     except csv.Error as exc:
@@ -133,36 +135,38 @@ def load_csv(path: str) -> Dataset:
     if unknown:
         raise ParseError(f"unrecognized columns {unknown}", row=1, column=unknown[0])
 
-    n = len(rows)
-    if n == 0:
+    if not rows:
         raise ParseError("no data rows", row=1, column="")
 
-    def cell(row_idx: int, name: str) -> str:
-        row = rows[row_idx]
+    def column(name: str) -> np.ndarray:
+        # One bulk parse (numpy converts each str with float()); only a
+        # column that fails it is walked, to name its first bad cell.
         pos = index[name]
-        if pos >= len(row) or row[pos] == "":
-            raise ParseError("missing value", row=row_idx + 2, column=name)
-        return row[pos]
-
-    def real(row_idx: int, name: str) -> float:
-        text = cell(row_idx, name)
+        cells = [row[pos].strip() if pos < len(row) else "" for row in rows]
+        numeric = name not in ("stratum", "cluster")
         try:
-            return float(text)
+            values = np.array(cells, dtype=np.float64 if numeric else None)
         except ValueError:
-            raise ParseError(f"not a number: {text!r}", row=row_idx + 2, column=name) from None
+            values = None
+        if values is not None and "" not in cells and (name != "z" or np.isin(values, (0, 1)).all()):
+            return values
+        for line, text in enumerate(cells, start=2):
+            if text == "":
+                raise ParseError("missing value", row=line, column=name)
+            if not numeric:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"not a number: {text!r}", row=line, column=name) from None
+            if name == "z" and value not in (0.0, 1.0):
+                raise ParseError(f"z must be 0 or 1, got {value!r}", row=line, column="z")
+        raise AssertionError(f"column {name!r} failed its bulk parse with no bad cell")
 
-    y = np.array([real(i, "y") for i in range(n)])
-    z = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        value = real(i, "z")
-        if value not in (0.0, 1.0):
-            raise ParseError(f"z must be 0 or 1, got {value!r}", row=i + 2, column="z")
-        z[i] = int(value)
-    x = None
-    if expected:
-        x = np.column_stack([[real(i, name) for i in range(n)] for name in expected])
-    strata = np.array([cell(i, "stratum") for i in range(n)]) if "stratum" in index else None
-    clusters = np.array([cell(i, "cluster") for i in range(n)]) if "cluster" in index else None
+    y, z = column("y"), column("z")
+    x = np.column_stack([column(name) for name in expected]) if expected else None
+    strata = column("stratum") if "stratum" in index else None
+    clusters = column("cluster") if "cluster" in index else None
     return Dataset(y, z, x, strata=strata, clusters=clusters)
 
 
@@ -190,11 +194,22 @@ def _base_report(command: str) -> dict:
     }
 
 
-def _triple_dict(triple) -> dict:
+def _test_fields(args, result, triple) -> dict:
+    """The report fields of one test, `seed` through `replicate_histogram`."""
     return {
-        "tau_hat": triple.tau_hat,
-        "se_classic": triple.se_classic,
-        "se_robust": triple.se_robust,
+        "seed": args.seed,
+        "sided": args.sided,
+        "mode": result.mode,
+        "replicates": int(result.replicates.shape[0]),
+        "t_obs": result.t_obs,
+        "p_value": result.p_value,
+        "mc_se": result.mc_se,
+        "estimate": {
+            "tau_hat": triple.tau_hat,
+            "se_classic": triple.se_classic,
+            "se_robust": triple.se_robust,
+        },
+        "replicate_histogram": _replicate_histogram(result.replicates),
     }
 
 
@@ -255,15 +270,7 @@ def _cmd_analyze(args) -> dict:
             },
             "spec": {"adjustment": spec.adjustment, "studentization": spec.studentization},
             "design": described,
-            "seed": args.seed,
-            "sided": args.sided,
-            "mode": result.mode,
-            "replicates": int(result.replicates.shape[0]),
-            "t_obs": result.t_obs,
-            "p_value": result.p_value,
-            "mc_se": result.mc_se,
-            "estimate": _triple_dict(triple),
-            "replicate_histogram": _replicate_histogram(result.replicates),
+            **_test_fields(args, result, triple),
         }
     )
     if args.ci:
@@ -303,15 +310,7 @@ def _cmd_permlm(args) -> dict:
         {
             "data": {"path": args.data, "n": data.n, "n1": data.n1, "j": data.j},
             "spec": {"scheme": spec.scheme, "studentization": spec.studentization},
-            "seed": args.seed,
-            "sided": args.sided,
-            "mode": result.mode,
-            "replicates": int(result.replicates.shape[0]),
-            "t_obs": result.t_obs,
-            "p_value": result.p_value,
-            "mc_se": result.mc_se,
-            "estimate": _triple_dict(estimate(data, "f")),
-            "replicate_histogram": _replicate_histogram(result.replicates),
+            **_test_fields(args, result, estimate(data, "f")),
         }
     )
     return report

@@ -87,6 +87,11 @@ class Dataset:
             raise InvariantViolation(f"x must be an (N, J) matrix with N={n}")
         if not np.all(np.isfinite(x)):
             raise InvariantViolation("x must be finite")
+        with np.errstate(over="ignore"):
+            sums = np.append(y.sum(), x.sum(axis=0))
+        if not np.all(np.isfinite(sums)):
+            k = int(np.argmin(np.isfinite(sums)))
+            raise InvariantViolation(f"the sum of {f'x{k}' if k else 'y'} overflows float64")
 
         strata = self.strata
         if strata is not None:
@@ -236,7 +241,7 @@ def tau_rosenbaum(data: Dataset) -> EstimateTriple:
     assignment, so permutation replicates reuse them unchanged.
     """
     _require_covariates(data)
-    fit = fit_ols(np.column_stack([np.ones(data.n), data.x]), data.y)
+    fit = fit_ols(np.column_stack([np.ones(data.n), center_covariates(data.x)]), data.y)
     tau, se_c, se_r = _two_group(fit.residuals, data.z)
     return EstimateTriple(tau, se_c, se_r, gamma_hat=fit.coefficients[1:].copy())
 
@@ -244,7 +249,7 @@ def tau_rosenbaum(data: Dataset) -> EstimateTriple:
 def tau_fisher(data: Dataset) -> EstimateTriple:
     """Treatment coefficient of the ANCOVA fit y ~ (1, Z, X)."""
     _require_covariates(data)
-    design = np.column_stack([np.ones(data.n), data.z, data.x])
+    design = np.column_stack([np.ones(data.n), data.z, center_covariates(data.x)])
     fit = fit_ols(design, data.y)
     return EstimateTriple(
         tau_hat=float(fit.coefficients[1]),

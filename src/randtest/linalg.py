@@ -74,8 +74,10 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     InvariantViolation
         If x or y holds a non-finite value.
     RankDeficient
-        If the numerical rank is below p (pivoted QR, relative
-        tolerance 1e-10 against the largest pivot).
+        If the numerical rank is below p: pivoted QR of the columns scaled
+        to unit size (by powers of two, to peak magnitudes in [1/2, 1)),
+        relative tolerance 1e-10 against the largest pivot, so the test
+        does not depend on the columns' units.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -93,15 +95,17 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvariantViolation("fit_ols requires finite inputs")
 
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    # Power-of-two scales are exact; an all-zero column keeps scale 1.
+    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1])
+    q, r, piv = scipy.linalg.qr(x / scale, mode="economic", pivoting=True)
     pivots = np.abs(np.diag(r))
     if pivots[0] == 0.0 or np.any(pivots <= RANK_TOL * pivots[0]):
         rank = int(np.sum(pivots > RANK_TOL * pivots[0])) if pivots[0] > 0 else 0
         raise RankDeficient(f"design matrix has numerical rank {rank} < {p}")
 
-    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y)
     beta = np.empty(p)
-    beta[piv] = beta_piv
+    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+    beta /= scale
 
     residuals = y - x @ beta
     rss = float(residuals @ residuals)
@@ -110,6 +114,7 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     gram_inv_piv = r_inv @ r_inv.T
     gram_inverse = np.empty((p, p))
     gram_inverse[np.ix_(piv, piv)] = gram_inv_piv
+    gram_inverse /= np.outer(scale, scale)
     gram_inverse = (gram_inverse + gram_inverse.T) / 2.0
 
     classic_cov = rss / (n - p) * gram_inverse

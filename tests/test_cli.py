@@ -1,14 +1,14 @@
 """CLI: CSV parsing, report shape, determinism, exit codes."""
 
+import csv
 import json
 import math
 import re
 import subprocess
 import sys
-import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from randtest import Dataset, ParseError, RandtestError
@@ -138,6 +138,84 @@ def test_load_csv_missing_cell(tmp_path):
     assert err.value.row == 3 and err.value.column == "x1"
 
 
+_LABELS = ("stratum", "cluster")
+# numbers that Python's float() reads and a strict numeric parser may refuse
+_FLOAT_ONLY = ("1_000", " 1.5 ", "+.5", "١٢٣")
+
+
+def _first_bad_cell(order, rows):
+    """(message, row, column) of the first bad cell in column order y, z,
+    x1..xJ, stratum, cluster, then in row order; None for a valid table."""
+    xs = sorted((c for c in order if c.startswith("x")), key=lambda c: int(c[1:]))
+    for name in ["y", "z", *xs, *(c for c in _LABELS if c in order)]:
+        pos = order.index(name)
+        for line, row in enumerate(rows, start=2):
+            text = row[pos].strip() if pos < len(row) else ""
+            if text == "":
+                return "missing value", line, name
+            if name in _LABELS:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                return f"not a number: {text!r}", line, name
+            if name == "z" and value not in (0.0, 1.0):
+                return f"z must be 0 or 1, got {value!r}", line, name
+    return None
+
+
+@st.composite
+def _planted_csv(draw):
+    """A valid table in a drawn column order with 1-3 planted bad cells:
+    an empty cell, a non-numeric cell, a z outside {0, 1} or a short row."""
+    j = draw(st.integers(0, 2))
+    labels = draw(st.sampled_from([(), ("stratum",), ("cluster",), _LABELS]))
+    order = draw(st.permutations(["y", "z", *(f"x{k}" for k in range(1, j + 1)), *labels]))
+    n = draw(st.integers(4, 8))
+    values = {"y": lambda i: f"{0.5 * i - 1}", "z": lambda i: str(i % 2)}
+    values.update({f"x{k}": (lambda i, k=k: f"{k * i / 3!r}") for k in range(1, j + 1)})
+    values.update(stratum=lambda i: "s", cluster=lambda i: f"c{i}")
+    rows = [[values[name](i) for name in order] for i in range(n)]
+    plants = st.tuples(
+        st.integers(0, n - 1),
+        st.integers(0, len(order) - 1),
+        st.sampled_from(["", "abc", "2", " 2 ", "short", *_FLOAT_ONLY]),
+    )
+    for i, pos, bad in draw(st.lists(plants, min_size=1, max_size=3)):
+        if bad == "short":
+            del rows[i][pos:]
+        elif pos < len(rows[i]):
+            rows[i][pos] = bad
+    return order, rows
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_planted_csv())
+@example((["y", "z"], [["1", "0"], ["2", "2"], ["3", "abc"], ["4", "1"]]))
+@example((["z", "y", "x1"], [["1", "0", "a"], ["2", "1", "0"], ["0", "", "0"], ["0", "4", "1"]]))
+@example((["y", "z", "x1"], [[text, str(i % 2), text] for i, text in enumerate(_FLOAT_ONLY)]))
+def test_load_csv_names_the_first_bad_cell(tmp_path, table):
+    order, rows = table
+    path = tmp_path / "planted.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([order, *rows])
+    expected = _first_bad_cell(order, rows)
+    try:
+        data = load_csv(str(path))
+    except ParseError as exc:
+        assert (str(exc), exc.row, exc.column) == expected
+        return
+    except RandtestError:  # a planted label can leave an arm or a cluster invalid
+        assert expected is None
+        return
+    assert expected is None
+    names = ["y", *(f"x{k}" for k in range(1, data.j + 1))]
+    for name, values in zip(names, [data.y, *data.x.T]):
+        assert values.tolist() == [float(row[order.index(name)]) for row in rows]
+
+
 _HEADERS = st.sampled_from(["", "y,z\n", "y,z,x1\n", "y,z,x1,stratum\n", "z,y,cluster\n"])
 _BODY = st.text(alphabet="01.-e,\n\r\" x9naé\x00", max_size=120)
 _CSV_BYTES = st.binary(max_size=120) | st.builds(
@@ -256,19 +334,36 @@ def test_analyze_alpha_out_of_range_is_a_json_error(alpha, csv8, capsysbinary):
 
 
 @pytest.mark.parametrize(
-    "stat, error",
-    [*((stat, "RankDeficient") for stat in "nrf"), ("l", "InvariantViolation")],
+    "argv",
+    [*(["analyze", "--stat", s] for s in "nrfl"), ["analyze", "--design", "rem", "--rem-a", "3"],
+     ["permlm"]],
+    ids=[*"nrfl", "rem", "permlm"],
 )
-def test_analyze_overflowing_covariates_are_json_errors(stat, error, tmp_path, capsysbinary):
-    # finite covariates whose column sum overflows float64
+@pytest.mark.parametrize("column", ["x1", "y"])
+def test_analyze_overflowing_covariates_are_json_errors(column, argv, tmp_path, capsysbinary):
+    # finite values whose column sum overflows float64
     path = tmp_path / "huge.csv"
-    cells = (f"{0.1 * i - 1:.1f},{i % 2},{1e308 + i * (0.7e308 / 19)!r}\n" for i in range(20))
-    path.write_text("y,z,x1\n" + "".join(cells))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        code, report = run_json(["analyze", str(path), "--stat", stat], capsysbinary)
+    rows = [{"y": f"{0.1 * i - 1:.1f}", "z": i % 2, "x1": f"{0.3 * i:.1f}"} for i in range(20)]
+    for i, row in enumerate(rows):
+        row[column] = repr(1e308 + i * (0.7e308 / 19))
+    path.write_text("y,z,x1\n" + "".join(f"{r['y']},{r['z']},{r['x1']}\n" for r in rows))
+    code, report = run_json([argv[0], str(path), *argv[1:]], capsysbinary)
     assert code == 1
-    assert report["error"]["type"] == error
+    assert report["error"]["type"] == "InvariantViolation"
+    assert report["error"]["message"] == f"the sum of {column} overflows float64"
+
+
+def test_analyze_shifted_covariate_matches_unshifted(csv8, tmp_path, capsysbinary):
+    # x1 + 1e6 used to fail the reference fit's rank test
+    shifted = tmp_path / "shifted.csv"
+    rows = [line.split(",") for line in CSV8.splitlines()[1:]]
+    shifted.write_text("y,z,x1\n" + "".join(f"{y},{z},{float(x) + 1e6!r}\n" for y, z, x in rows))
+    t_obs = []
+    for path in (csv8, str(shifted)):
+        code, report = run_json(["analyze", path, "--stat", "f"], capsysbinary)
+        assert code == 0
+        t_obs.append(report["t_obs"])
+    assert abs(t_obs[0] - t_obs[1]) < 1e-8
 
 
 def test_analyze_ci(csv12, capsysbinary):

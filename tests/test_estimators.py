@@ -249,6 +249,19 @@ def test_location_shift_invariance():
         assert abs(t1.se_robust - t2.se_robust) < 1e-10
 
 
+@pytest.mark.parametrize("move", ["scale-1e10", "scale-1e11", "shift-1e6"])
+def test_covariate_units_do_not_trip_the_rank_test(move):
+    # the fits' rank test sees unit-scaled, centered columns
+    data = random_dataset(83, n=40, j=2)
+    kind, size = move.split("-")
+    moved = Dataset(data.y, data.z, data.x * float(size) if kind == "scale" else data.x + float(size))
+    for adj in "rfl":
+        t1, t2 = estimate(data, adj), estimate(moved, adj)
+        assert abs(t1.tau_hat - t2.tau_hat) < 1e-8
+        assert abs(t1.se_classic - t2.se_classic) < 1e-8
+        assert abs(t1.se_robust - t2.se_robust) < 1e-8
+
+
 def test_arm_relabel_negates_tau():
     data = random_dataset(79, n=30, j=2)
     flipped = Dataset(data.y, 1 - data.z, data.x)
