@@ -75,9 +75,8 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
         If x or y holds a non-finite value.
     RankDeficient
         If the numerical rank is below p: pivoted QR of the columns scaled
-        to unit size (by powers of two, to peak magnitudes in [1/2, 1)),
-        relative tolerance 1e-10 against the largest pivot, so the test
-        does not depend on the columns' units.
+        by powers of two to peak magnitudes in [1/2, 1), so that the relative
+        tolerance 1e-10 against the largest pivot ignores their units.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -95,17 +94,18 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvariantViolation("fit_ols requires finite inputs")
 
-    # Power-of-two scales are exact; an all-zero column keeps scale 1.
+    # Fit x / scale (exact powers of two; 1 for a zero column), mapped back below.
     scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1])
-    q, r, piv = scipy.linalg.qr(x / scale, mode="economic", pivoting=True)
+    x = x / scale
+    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
     pivots = np.abs(np.diag(r))
     if pivots[0] == 0.0 or np.any(pivots <= RANK_TOL * pivots[0]):
         rank = int(np.sum(pivots > RANK_TOL * pivots[0])) if pivots[0] > 0 else 0
         raise RankDeficient(f"design matrix has numerical rank {rank} < {p}")
 
+    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y)
     beta = np.empty(p)
-    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
-    beta /= scale
+    beta[piv] = beta_piv
 
     residuals = y - x @ beta
     rss = float(residuals @ residuals)
@@ -114,13 +114,15 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     gram_inv_piv = r_inv @ r_inv.T
     gram_inverse = np.empty((p, p))
     gram_inverse[np.ix_(piv, piv)] = gram_inv_piv
-    gram_inverse /= np.outer(scale, scale)
     gram_inverse = (gram_inverse + gram_inverse.T) / 2.0
 
-    classic_cov = rss / (n - p) * gram_inverse
     meat = (x * residuals[:, None] ** 2).T @ x
     robust_cov = gram_inverse @ meat @ gram_inverse
     robust_cov = (robust_cov + robust_cov.T) / 2.0
+    beta /= scale
+    gram_inverse = gram_inverse / scale[:, None] / scale
+    robust_cov = robust_cov / scale[:, None] / scale
+    classic_cov = rss / (n - p) * gram_inverse
 
     return OlsFit(
         coefficients=beta,
