@@ -166,8 +166,9 @@ def _first_bad_cell(order, rows):
 
 @st.composite
 def _planted_csv(draw):
-    """A valid table in a drawn column order with 1-3 planted bad cells:
-    an empty cell, a non-numeric cell, a z outside {0, 1} or a short row."""
+    """A valid table in a drawn column order with 1-3 planted cells: an
+    empty or non-numeric cell, a 2, a number only float() may read, or a
+    short row. Whether a plant is bad depends on its column."""
     j = draw(st.integers(0, 2))
     labels = draw(st.sampled_from([(), ("stratum",), ("cluster",), _LABELS]))
     order = draw(st.permutations(["y", "z", *(f"x{k}" for k in range(1, j + 1)), *labels]))
@@ -335,8 +336,11 @@ def test_analyze_alpha_out_of_range_is_a_json_error(alpha, csv8, capsysbinary):
 
 @pytest.mark.parametrize(
     "argv",
-    [*(["analyze", "--stat", s] for s in "nrfl"), ["analyze", "--design", "rem", "--rem-a", "3"],
-     ["permlm"]],
+    [
+        *(["analyze", "--stat", s] for s in "nrfl"),
+        ["analyze", "--design", "rem", "--rem-a", "3"],
+        ["permlm"],
+    ],
     ids=[*"nrfl", "rem", "permlm"],
 )
 @pytest.mark.parametrize("column", ["x1", "y"])
