@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .errors import AcceptanceTimeout, DimensionMismatch, InvalidSizes, InvariantViolation, SingularCovariance
@@ -280,7 +279,7 @@ class _BalanceMetric:
         self.n, self.j = x_d.shape
         chol = np.linalg.cholesky(_balance_metric(x_d))
         xc = x_d - x_d.mean(axis=0)
-        white = scipy.linalg.solve_triangular(chol, xc.T, lower=True).T
+        white = xc @ np.linalg.inv(chol).T  # numpy's BLAS pool only; see `linalg`
         self.block = np.column_stack([white, np.ones(self.n)])
 
     def distances(self, zmat: np.ndarray) -> np.ndarray:

@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randtest import RankDeficient, fit_ols
-from conftest import gen
+from randtest import (
+    CompleteDesign,
+    RankDeficient,
+    RerandomizedDesign,
+    StatisticSpec,
+    draw,
+    fit_ols,
+    invert_ci,
+)
+from randtest.cli import main
+from conftest import gen, random_dataset
 
 
 def test_two_by_two_normal_equations():
@@ -78,3 +88,30 @@ def test_rank_deficient_raises():
         fit_ols(x, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(RankDeficient):
         fit_ols(np.zeros((2, 1)), np.array([1.0, 2.0]))
+
+
+def test_no_matrix_right_hand_side_reaches_scipy(monkeypatch, tmp_path, capsysbinary):
+    # numpy and scipy bundle separate OpenBLAS thread pools; a matrix
+    # triangular solve wakes scipy's, which then competes with numpy's
+    real = scipy.linalg.solve_triangular
+    calls, matrix_calls = [], []
+
+    def vector_only(a, b, *args, **kwargs):
+        calls.append(np.shape(b))
+        if np.ndim(b) != 1:
+            matrix_calls.append(np.shape(b))
+            raise AssertionError(f"solve_triangular with a {np.shape(b)} right-hand side")
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", vector_only)
+    data = random_dataset(61, n=40, j=2, tau=0.5)
+    fit_ols(np.column_stack([np.ones(40), data.z, data.x]), data.y)
+    design = RerandomizedDesign(CompleteDesign(40, 20), 4.0, data.x)
+    draw(design, gen(3))
+    invert_ci(data, StatisticSpec("l", "robust"), 0.05, design, r=99, seed=1)
+    path = tmp_path / "rem.csv"
+    rows = np.column_stack([data.y, data.z, data.x]).tolist()
+    path.write_text("y,z,x1,x2\n" + "".join(f"{y!r},{z:.0f},{a!r},{b!r}\n" for y, z, a, b in rows))
+    argv = ["analyze", str(path), "--design", "rem", "--rem-a", "4", "--stat", "l", "--ci"]
+    assert main([*argv, "--reps", "99"]) == 0
+    assert calls and not matrix_calls
