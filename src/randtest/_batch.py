@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DegenerateArm, DimensionMismatch, InvalidSizes, RankDeficient
 from .estimators import StatisticSpec
+from .linalg import column_scale
 
 _QR_TOL = 1e-10
 _PIVOT_TOL = 1e-12  # a Gram pivot this small against its diagonal entry is rounding noise
@@ -45,8 +46,10 @@ def _studentized(tau: np.ndarray, se2: np.ndarray) -> np.ndarray:
 
 def _centered_qr(x: np.ndarray, yc: np.ndarray):
     """(q, e): an orthonormal basis of the centered covariates' span and the
-    residual of the centered outcome `yc` on (1, X); RankDeficient if collinear."""
-    q, r = np.linalg.qr(x - x.mean(axis=0))
+    residual of the centered outcome `yc` on (1, X); RankDeficient if collinear.
+    The rank test sees each centered column in units of `column_scale`."""
+    xc = x - x.mean(axis=0)
+    q, r = np.linalg.qr(xc / column_scale(xc))
     pivots = np.abs(np.diag(r))
     if pivots.size and (pivots.max() == 0.0 or pivots.min() <= _QR_TOL * pivots.max()):
         raise RankDeficient("centered covariates are collinear")

@@ -28,6 +28,12 @@ from .errors import DimensionMismatch, InvariantViolation, RankDeficient
 RANK_TOL = 1e-10
 
 
+def column_scale(x: np.ndarray) -> np.ndarray:
+    """Per column of x, the power of two that brings its peak magnitude into
+    [1/2, 1) on division (1 for a zero column): an exact change of units."""
+    return np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1])
+
+
 @dataclass(frozen=True)
 class OlsFit:
     """Result of an OLS fit.
@@ -101,8 +107,8 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvariantViolation("fit_ols requires finite inputs")
 
-    # Fit x / scale (exact powers of two; 1 for a zero column), mapped back below.
-    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1])
+    # Fit x / scale, mapped back below.
+    scale = column_scale(x)
     x = x / scale
     q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
     pivots = np.abs(np.diag(r))

@@ -245,6 +245,23 @@ def test_constant_covariate_in_an_arm_gives_nan_counted_extreme():
     assert res.p_value == (extreme + singular.sum()) / zmat.shape[0]
 
 
+@pytest.mark.parametrize("adjustment", "rfl")
+def test_unequal_covariate_units_do_not_trip_the_batch_rank_test(adjustment):
+    # x2 on 1e11 times x1's scale: the evaluator's rank test, like the
+    # reference fits', sees each centered column scaled to unit size
+    data = random_dataset(83, n=40, j=2)
+    moved = Dataset(data.y, data.z, data.x * [1.0, 1e11])
+    zmat = _random_zmat(gen(5), 50, 40, 20)
+    want = make_evaluator(data.y, data.x).triples(zmat, adjustment)
+    got = make_evaluator(moved.y, moved.x).triples(zmat, adjustment)
+    np.testing.assert_allclose(got, want, rtol=1e-8)
+    spec = StatisticSpec(adjustment, "robust")
+    design = CompleteDesign(40, 20)
+    res = frt_p_value(moved, spec, design, r=200, seed=3)
+    assert res.p_value == frt_p_value(data, spec, design, r=200, seed=3).p_value
+    assert abs(res.t_obs - statistic(data, spec)) < 1e-8
+
+
 @pytest.mark.parametrize(
     "n, j, rows, peak_mib",
     # traced peaks of the residual-pass evaluator these replace, per adjustment
