@@ -107,7 +107,8 @@ def load_csv(path: str) -> Dataset:
     Covariate columns must be numbered contiguously from x1. Cells are
     stripped and parsed as Python's float() parses them. A ParseError names
     the first bad cell, in column order y, z, x1..xJ, stratum, cluster, then
-    in row order, by its 1-based file row and column name.
+    in row order, by its 1-based file row and column name. Stratum and
+    cluster labels are kept as strings and may not hold a NUL character.
     """
     reader = csv.reader(io.StringIO(_read_utf8(path, "bad CSV"), newline=""))
     try:
@@ -148,12 +149,18 @@ def load_csv(path: str) -> Dataset:
             values = np.array(cells, dtype=np.float64 if numeric else None)
         except ValueError:
             values = None
-        if values is not None and "" not in cells and (name != "z" or np.isin(values, (0, 1)).all()):
+        if numeric:
+            ok = values is not None and (name != "z" or np.isin(values, (0, 1)).all())
+        else:  # numpy's str dtype drops trailing NULs, merging "a" and "a\0"
+            ok = "\x00" not in "".join(cells)
+        if ok and "" not in cells:
             return values
         for line, text in enumerate(cells, start=2):
             if text == "":
                 raise ParseError("missing value", row=line, column=name)
             if not numeric:
+                if "\x00" in text:
+                    raise ParseError(f"NUL character in label {text!r}", row=line, column=name)
                 continue
             try:
                 value = float(text)
@@ -213,33 +220,41 @@ def _test_fields(args, result, triple) -> dict:
     }
 
 
-def _build_design(args, data: Dataset) -> tuple[DesignSpec, list[str] | None]:
+def _build_design(
+    args, data: Dataset
+) -> tuple[DesignSpec, list[str] | None, tuple[Dataset, DesignSpec]]:
+    """The design the arguments name, the ReM columns it balances (None for
+    other designs) and the (dataset, design) pair the test analyzes."""
+    if args.design == "cluster":
+        # one collapse counts the clusters and is the analysis form
+        collapsed = cluster_collapse(data)
+        m, m1 = collapsed.n, collapsed.n1
+        return ClusterDesign(m, m1), None, (collapsed, CompleteDesign(m, m1))
+    chosen = None
     if args.design == "complete":
-        return CompleteDesign(data.n, data.n1), None
-    if args.design == "stratified":
+        design = CompleteDesign(data.n, data.n1)
+    elif args.design == "stratified":
         if data.strata is None:
             raise InvariantViolation("--design stratified needs a stratum column")
-        return StratifiedDesign.from_observed(data.strata, data.z), None
-    if args.design == "cluster":
-        collapsed = cluster_collapse(data)
-        return ClusterDesign(collapsed.n, collapsed.n1), None
-    if args.rem_a is None:
-        raise InvariantViolation("--design rem needs --rem-a")
-    if data.j < 1:
-        raise InvariantViolation("--design rem needs covariate columns")
-    names = [f"x{k}" for k in range(1, data.j + 1)]
-    if args.rem_cols:
-        chosen = [c.strip() for c in args.rem_cols.split(",") if c.strip()]
-        bad = [c for c in chosen if c not in names]
-        if bad:
-            raise InvariantViolation(f"--rem-cols names not in the data: {bad}")
-        cols = [names.index(c) for c in chosen]
+        design = StratifiedDesign.from_observed(data.strata, data.z)
     else:
-        chosen, cols = names, list(range(data.j))
-    design = RerandomizedDesign(
-        CompleteDesign(data.n, data.n1), float(args.rem_a), data.x[:, cols]
-    )
-    return design, chosen
+        if args.rem_a is None:
+            raise InvariantViolation("--design rem needs --rem-a")
+        if data.j < 1:
+            raise InvariantViolation("--design rem needs covariate columns")
+        names = [f"x{k}" for k in range(1, data.j + 1)]
+        if args.rem_cols:
+            chosen = [c.strip() for c in args.rem_cols.split(",") if c.strip()]
+            bad = [c for c in chosen if c not in names]
+            if bad:
+                raise InvariantViolation(f"--rem-cols names not in the data: {bad}")
+            cols = [names.index(c) for c in chosen]
+        else:
+            chosen, cols = names, list(range(data.j))
+        design = RerandomizedDesign(
+            CompleteDesign(data.n, data.n1), float(args.rem_a), data.x[:, cols]
+        )
+    return design, chosen, design.analysis_form(data)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -248,8 +263,7 @@ def _build_design(args, data: Dataset) -> tuple[DesignSpec, list[str] | None]:
 def _cmd_analyze(args) -> dict:
     data = load_csv(args.data)
     spec = StatisticSpec(args.stat, args.student)
-    design, rem_cols = _build_design(args, data)
-    adata, adesign = design.analysis_form(data)
+    design, rem_cols, (adata, adesign) = _build_design(args, data)
     triple = (estimate if adesign.strata is None else estimate_stratified)(adata, spec.adjustment)
     described = design.describe()
     if rem_cols is not None:

@@ -138,6 +138,19 @@ def test_load_csv_missing_cell(tmp_path):
     assert err.value.row == 3 and err.value.column == "x1"
 
 
+@pytest.mark.parametrize("column", ["stratum", "cluster"])
+def test_load_csv_rejects_nul_in_labels(column, tmp_path):
+    # numpy's str dtype drops trailing NULs, which would merge "a" and "a\0"
+    path = tmp_path / "nul.csv"
+    labels = ["a", "a", "b", "b", "a\x00", "c"]
+    path.write_text(f"y,z,{column}\n" + "".join(
+        f"{i},{i % 2},{label}\n" for i, label in enumerate(labels)
+    ))
+    with pytest.raises(ParseError, match=r"^NUL character in label 'a\\x00'") as err:
+        load_csv(str(path))
+    assert err.value.row == 6 and err.value.column == column
+
+
 _LABELS = ("stratum", "cluster")
 # numbers that Python's float() reads and a strict numeric parser may refuse
 _FLOAT_ONLY = ("1_000", " 1.5 ", "+.5", "١٢٣")
