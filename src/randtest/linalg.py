@@ -6,12 +6,11 @@ designs can be ill-conditioned) and reports both the classic covariance
 rss/(N-p) * (X'X)^-1 and the HC0 sandwich (X'X)^-1 X'diag(e_i^2)X (X'X)^-1
 with no small-sample scaling.
 
-Only the pivoted QR and the one vector solve go through `scipy.linalg`; a
-solve with a matrix right-hand side goes through `numpy.linalg`. numpy and
-scipy each bundle their own OpenBLAS with its own thread pool, and a matrix
-triangular solve wakes scipy's, whose threads then spin against numpy's
-matrix products on the same cores (up to 28 ms for a 0.3 ms product on two
-cores). The pivoted QR and the vector solve stay single-threaded.
+Only the pivoted QR and the one vector solve, which run on the calling
+thread, go through `scipy.linalg`; every solve with a matrix right-hand side
+goes through `numpy.linalg`. numpy and scipy each bundle their own OpenBLAS
+with its own thread pool, and a matrix triangular solve wakes scipy's, whose
+threads then spin against numpy's matrix products on the same cores.
 """
 
 from __future__ import annotations

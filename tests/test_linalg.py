@@ -112,6 +112,7 @@ def test_no_matrix_right_hand_side_reaches_scipy(monkeypatch, tmp_path, capsysbi
     path = tmp_path / "rem.csv"
     rows = np.column_stack([data.y, data.z, data.x]).tolist()
     path.write_text("y,z,x1,x2\n" + "".join(f"{y!r},{z:.0f},{a!r},{b!r}\n" for y, z, a, b in rows))
-    argv = ["analyze", str(path), "--design", "rem", "--rem-a", "4", "--stat", "l", "--ci"]
-    assert main([*argv, "--reps", "99"]) == 0
+    argv = ["analyze", str(path), "--design", "rem", "--rem-a", "4", "--stat", "l", "--ci",
+            "--reps", "99"]
+    assert main(argv) == 0
     assert calls and not matrix_calls
