@@ -47,11 +47,13 @@ def _studentized(tau: np.ndarray, se2: np.ndarray) -> np.ndarray:
 def _centered_qr(x: np.ndarray, yc: np.ndarray):
     """(q, e): an orthonormal basis of the centered covariates' span and the
     residual of the centered outcome `yc` on (1, X); RankDeficient if collinear.
-    The rank test sees each centered column in units of `column_scale`."""
+    As in `fit_ols`, the rank test sees each column in the units `column_scale`
+    takes from the raw column, so a constant's centering residue stays tiny,
+    and the intercept's norm sqrt(N) joins the largest pivot."""
     xc = x - x.mean(axis=0)
-    q, r = np.linalg.qr(xc / column_scale(xc))
+    q, r = np.linalg.qr(xc / column_scale(x))
     pivots = np.abs(np.diag(r))
-    if pivots.size and (pivots.max() == 0.0 or pivots.min() <= _QR_TOL * pivots.max()):
+    if pivots.size and pivots.min() <= _QR_TOL * max(pivots.max(), np.sqrt(len(x))):
         raise RankDeficient("centered covariates are collinear")
     # y's mean is already out; project out the basis
     return q, yc - q @ (q.T @ yc)

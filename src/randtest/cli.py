@@ -38,7 +38,7 @@ from .errors import InvariantViolation, ParseError, RandtestError, ZeroSe
 from .estimators import (
     Dataset,
     StatisticSpec,
-    cluster_collapse,
+    cluster_collapse,  # unused here; perfbench/spans.py traces cluster collapses at this name
     estimate,
     estimate_stratified,
 )
@@ -220,41 +220,36 @@ def _test_fields(args, result, triple) -> dict:
     }
 
 
-def _build_design(
-    args, data: Dataset
-) -> tuple[DesignSpec, list[str] | None, tuple[Dataset, DesignSpec]]:
-    """The design the arguments name, the ReM columns it balances (None for
-    other designs) and the (dataset, design) pair the test analyzes."""
-    if args.design == "cluster":
-        # one collapse counts the clusters and is the analysis form
-        collapsed = cluster_collapse(data)
-        m, m1 = collapsed.n, collapsed.n1
-        return ClusterDesign(m, m1), None, (collapsed, CompleteDesign(m, m1))
-    chosen = None
+def _build_design(args, data: Dataset) -> tuple[DesignSpec, list[str] | None]:
     if args.design == "complete":
-        design = CompleteDesign(data.n, data.n1)
-    elif args.design == "stratified":
+        return CompleteDesign(data.n, data.n1), None
+    if args.design == "stratified":
         if data.strata is None:
             raise InvariantViolation("--design stratified needs a stratum column")
-        design = StratifiedDesign.from_observed(data.strata, data.z)
+        return StratifiedDesign.from_observed(data.strata, data.z), None
+    if args.design == "cluster":
+        if data.clusters is None:
+            raise InvariantViolation("dataset has no cluster labels")
+        # counts alone: the design's analysis_form makes the one collapse
+        m1 = np.unique(data.clusters[data.z == 1]).size
+        return ClusterDesign(int(data.clusters.max()) + 1, m1), None
+    if args.rem_a is None:
+        raise InvariantViolation("--design rem needs --rem-a")
+    if data.j < 1:
+        raise InvariantViolation("--design rem needs covariate columns")
+    names = [f"x{k}" for k in range(1, data.j + 1)]
+    if args.rem_cols:
+        chosen = [c.strip() for c in args.rem_cols.split(",") if c.strip()]
+        bad = [c for c in chosen if c not in names]
+        if bad:
+            raise InvariantViolation(f"--rem-cols names not in the data: {bad}")
+        cols = [names.index(c) for c in chosen]
     else:
-        if args.rem_a is None:
-            raise InvariantViolation("--design rem needs --rem-a")
-        if data.j < 1:
-            raise InvariantViolation("--design rem needs covariate columns")
-        names = [f"x{k}" for k in range(1, data.j + 1)]
-        if args.rem_cols:
-            chosen = [c.strip() for c in args.rem_cols.split(",") if c.strip()]
-            bad = [c for c in chosen if c not in names]
-            if bad:
-                raise InvariantViolation(f"--rem-cols names not in the data: {bad}")
-            cols = [names.index(c) for c in chosen]
-        else:
-            chosen, cols = names, list(range(data.j))
-        design = RerandomizedDesign(
-            CompleteDesign(data.n, data.n1), float(args.rem_a), data.x[:, cols]
-        )
-    return design, chosen, design.analysis_form(data)
+        chosen, cols = names, list(range(data.j))
+    design = RerandomizedDesign(
+        CompleteDesign(data.n, data.n1), float(args.rem_a), data.x[:, cols]
+    )
+    return design, chosen
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -263,7 +258,8 @@ def _build_design(
 def _cmd_analyze(args) -> dict:
     data = load_csv(args.data)
     spec = StatisticSpec(args.stat, args.student)
-    design, rem_cols, (adata, adesign) = _build_design(args, data)
+    design, rem_cols = _build_design(args, data)
+    adata, adesign = design.analysis_form(data)
     triple = (estimate if adesign.strata is None else estimate_stratified)(adata, spec.adjustment)
     described = design.describe()
     if rem_cols is not None:

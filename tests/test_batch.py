@@ -16,13 +16,17 @@ from randtest import (
     Dataset,
     DegenerateArm,
     InvalidSizes,
+    PermLmSpec,
+    RankDeficient,
     RerandomizedDesign,
     StatisticSpec,
     StratifiedDesign,
     cluster_collapse,
     estimate,
     estimate_stratified,
+    fit_ols,
     frt_p_value,
+    perm_lm_p_value,
     statistic,
 )
 from randtest._batch import CompleteEvaluator, StratifiedEvaluator, make_evaluator, stat_matrix
@@ -260,6 +264,25 @@ def test_unequal_covariate_units_do_not_trip_the_batch_rank_test(adjustment):
     res = frt_p_value(moved, spec, design, r=200, seed=3)
     assert res.p_value == frt_p_value(data, spec, design, r=200, seed=3).p_value
     assert abs(res.t_obs - statistic(data, spec)) < 1e-8
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_constant_covariate_with_inexact_mean_is_rank_deficient(j):
+    # a column of 0.1s centers to rounding residue, not to zeros; in the
+    # raw column's units that residue is collinear with the intercept
+    data = random_dataset(89, n=30, j=j)
+    x = data.x.copy()
+    x[:, -1] = 0.1
+    assert x[:, -1].mean() != 0.1
+    constant = Dataset(data.y, data.z, x)
+    with pytest.raises(RankDeficient):
+        fit_ols(np.column_stack([np.ones(30), x]), data.y)
+    with pytest.raises(RankDeficient):
+        make_evaluator(constant.y, constant.x)
+    with pytest.raises(RankDeficient):
+        frt_p_value(constant, StatisticSpec("l", "robust"), CompleteDesign(30, 15), r=50)
+    with pytest.raises(RankDeficient):
+        perm_lm_p_value(constant, PermLmSpec("fl", "robust"), r=50)
 
 
 @pytest.mark.parametrize(
