@@ -65,6 +65,9 @@ _TIE_RTOL = 1e-9
 _GRID_ELEMENTS = 1 << 17
 # Halvings whose midpoints one CI boundary round scores at once.
 _BISECT_DEPTH = 4
+# Gap, relative to max(1, |t_obs|), by which a replicate must clear the
+# observed statistic over a bracket to skip its boundary search (`_settle`).
+_SETTLE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -253,9 +256,9 @@ def wald_ci(triple: EstimateTriple, alpha: float) -> tuple[float, float]:
     return (triple.tau_hat - q * triple.se_robust, triple.tau_hat + q * triple.se_robust)
 
 
-def _stat_at_shift(vals: np.ndarray, nodes, c: np.ndarray, studentization: str) -> np.ndarray:
-    """Statistic under Y - cZ from its node values (see `invert_ci`), one
-    column per shift in `c`.
+def _interpolated(vals: np.ndarray, nodes, c: np.ndarray, studentization: str):
+    """(tau, se2) under Y - cZ from the node values (see `invert_ci`), one
+    column per shift in `c`; se2 is None for an unstudentized statistic.
 
     The estimate is interpolated linearly between the end nodes and the
     squared SE by the quadratic through all three nodes, so each reproduces
@@ -265,11 +268,74 @@ def _stat_at_shift(vals: np.ndarray, nodes, c: np.ndarray, studentization: str) 
     u = (c - c0) / (c2 - c0)
     tau = (1 - u) * vals[:, 0:1] + u * vals[:, 1:2]
     if studentization == "none":
-        return tau
+        return tau, None
     l0 = (c - c1) * (c - c2) / ((c0 - c1) * (c0 - c2))
     l1 = (c - c0) * (c - c2) / ((c1 - c0) * (c1 - c2))
     l2 = (c - c0) * (c - c1) / ((c2 - c0) * (c2 - c1))
-    return _studentized(tau, l0 * vals[:, 2:3] + l1 * vals[:, 3:4] + l2 * vals[:, 4:5])
+    return tau, l0 * vals[:, 2:3] + l1 * vals[:, 3:4] + l2 * vals[:, 4:5]
+
+
+def _stat_at_shift(vals: np.ndarray, nodes, c: np.ndarray, studentization: str) -> np.ndarray:
+    """Statistic under Y - cZ from its node values, one column per shift in `c`."""
+    tau, se2 = _interpolated(vals, nodes, c, studentization)
+    return tau if se2 is None else _studentized(tau, se2)
+
+
+def _stat_bounds(vals: np.ndarray, nodes, ends, studentization: str):
+    """(lo, hi) per row: bounds on every value `_stat_at_shift` can give at a
+    shift between `ends` (a < b, inside the nodes); NaN where there are none.
+
+    Between a and b the estimate is linear in c, and the squared SE, a
+    quadratic with leading coefficient k, strays from its chord by at most
+    |k| (b - a)^2 / 4; twice that is allowed. Both are widened by 64 eps
+    times the sum of their node values' magnitudes, well above the rounding
+    of the interpolation at any shift. A squared SE that may then reach 0
+    leaves no bound.
+    """
+    a, b = ends
+    eps = np.finfo(np.float64).eps
+    tau, se2 = _interpolated(vals, nodes, np.array([a, b]), studentization)
+    spread = 64 * eps * (np.abs(vals[:, 0]) + np.abs(vals[:, 1]))
+    lo = np.minimum(tau[:, 0], tau[:, 1]) - spread
+    hi = np.maximum(tau[:, 0], tau[:, 1]) + spread
+    if se2 is None:
+        return lo, hi
+    c0, c1, c2 = nodes
+    k = (
+        vals[:, 2] / ((c0 - c1) * (c0 - c2))
+        + vals[:, 3] / ((c1 - c0) * (c1 - c2))
+        + vals[:, 4] / ((c2 - c0) * (c2 - c1))
+    )
+    spread = 64 * eps * (np.abs(vals[:, 2]) + np.abs(vals[:, 3]) + np.abs(vals[:, 4]))
+    spread += np.abs(k) * (b - a) ** 2 / 2
+    low = np.minimum(se2[:, 0], se2[:, 1]) - spread
+    se_lo = np.sqrt(np.where(low > 0, low, np.nan))
+    se_hi = np.sqrt(np.maximum(se2[:, 0], se2[:, 1]) + spread)
+    return (
+        np.where(lo >= 0, lo / se_hi, lo / se_lo),
+        np.where(hi >= 0, hi / se_lo, hi / se_hi),
+    )
+
+
+def _settle(rows: np.ndarray, nodes, ends, studentization: str, sided: str):
+    """(keep, extreme) for a search between `ends`: which rows can change
+    their extreme status there, and how many of the others are extreme.
+
+    `rows` holds the observed node values first, then the replicates'. A
+    replicate is settled when its bounds (`_stat_bounds`, of |t| if
+    two-sided) clear the observed statistic's by more than _SETTLE_RTOL of
+    max(1, |t_obs|), far above _TIE_RTOL. Rows with a non-finite node value
+    are never settled, nor is anything when the observed bounds fail.
+    """
+    with np.errstate(all="ignore"):  # an overflowed bound still holds; a NaN one settles nothing
+        lo, hi = _stat_bounds(rows, nodes, sorted(ends), studentization)
+        if sided == "two":
+            lo, hi = np.where(lo > 0, lo, np.where(hi < 0, -hi, 0.0)), np.maximum(-lo, hi)
+        margin = _SETTLE_RTOL * np.max(np.abs([1.0, lo[0], hi[0]]))
+        finite = np.isfinite(rows).all(axis=1)
+        above = finite & (lo - hi[0] > margin)
+        below = finite & (lo[0] - hi > margin)
+    return ~(above | below), int(np.count_nonzero(above))
 
 
 def _boundary(p_at, alpha: float, inside: float, outside: float) -> float:
@@ -335,6 +401,12 @@ def invert_ci(
     point in O(R). The cost is three evaluations of the reference set
     whatever the grid size. The result carries the p-value of every grid
     point and flags an accepted region that reaches either grid edge.
+
+    Each bisection scores only the observed row and the replicates that can
+    change their extreme status in its bracket. The same interpolation
+    bounds every other replicate's statistic over the bracket clear of the
+    observed one (`_settle`); those are counted once, so each midpoint gets
+    the p-value that scoring every replicate would give.
     """
     if spec.studentization != "robust":
         warnings.warn(
@@ -378,10 +450,15 @@ def invert_ci(
     vals = node_values(zmat)
     obs = _observed(vals, zmat, adata.z, exact, node_values)
 
-    def p_at(shifts):
-        t_obs = _stat_at_shift(obs, nodes, shifts, spec.studentization)[0]
-        reps = _stat_at_shift(vals, nodes, shifts, spec.studentization)
-        return _p_value(_count_extreme(reps, t_obs, sided), m, exact)
+    rows = np.concatenate([obs, vals])  # the observed row first
+
+    def p_at(shifts, rows=rows, settled=0):
+        t = _stat_at_shift(rows, nodes, shifts, spec.studentization)
+        return _p_value(_count_extreme(t[1:], t[0], sided) + settled, m, exact)
+
+    def boundary(inside, outside):
+        keep, settled = _settle(rows, nodes, (inside, outside), spec.studentization, sided)
+        return _boundary(lambda s: p_at(s, rows[keep], settled), alpha, inside, outside)
 
     cols = max(1, _GRID_ELEMENTS // m)
     p_vals = np.concatenate([p_at(points[s : s + cols]) for s in range(0, num, cols)])
@@ -396,8 +473,8 @@ def invert_ci(
             max_p=float(p_vals[best]),
         )
     first, last = np.flatnonzero(accepted)[[0, -1]]
-    lower = points[0] if first == 0 else _boundary(p_at, alpha, points[first], points[first - 1])
-    upper = points[-1] if last == num - 1 else _boundary(p_at, alpha, points[last], points[last + 1])
+    lower = points[0] if first == 0 else boundary(points[first], points[first - 1])
+    upper = points[-1] if last == num - 1 else boundary(points[last], points[last + 1])
     return CiResult(
         float(lower),
         float(upper),

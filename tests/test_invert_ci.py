@@ -99,6 +99,15 @@ def _case(name):
         return _complete(406, 10, 5, j=1), CompleteDesign(10, 5), 0, True
     if name == "exact-unbalanced":
         return _complete(408, 11, 4, j=1), CompleteDesign(11, 4), 0, True
+    if name == "nan-replicates":
+        # x1 is binary: a row treating four units that share x1 leaves x1
+        # constant in the treated arm, so `l` has NaN replicates
+        rng = gen(139)
+        x = np.column_stack([np.repeat([1.0, 0.0], 6), rng.normal(size=12)])
+        z = np.zeros(12, dtype=np.int64)
+        z[[0, 1, 6, 7]] = 1
+        y = x @ [1.0, 0.5] + 0.7 * z + rng.normal(size=12)
+        return Dataset(y, z, x), CompleteDesign(12, 4), 0, True
     raise ValueError(name)
 
 
@@ -114,7 +123,7 @@ CASES = (
 )
 
 
-def _oracle(data, spec, design, points, r, exact):
+def _oracle(data, spec, design, points, r, exact, sided="two"):
     z = data.z.astype(np.float64)
     x = data.x if data.j else None
     return [
@@ -125,6 +134,7 @@ def _oracle(data, spec, design, points, r, exact):
             r=r,
             seed=17,
             exact=exact,
+            sided=sided,
         )
         for c in points
     ]
@@ -140,22 +150,24 @@ def _grid(data, design):
     return (lo - width, hi + width, 15)
 
 
+@pytest.mark.parametrize("sided", engine._SIDES)
 @pytest.mark.parametrize("name", CASES)
-def test_closed_form_matches_grid_scan(name):
+def test_closed_form_matches_grid_scan(name, sided):
     data, design, r, exact = _case(name)
     grid = _grid(data, design)
     points = np.linspace(*grid[:2], grid[2])
+    kwargs = dict(r=r, seed=17, grid=grid, exact=exact, sided=sided)
     for spec in ALL_SPECS:
-        oracle = _oracle(data, spec, design, points, r, exact)
+        oracle = _oracle(data, spec, design, points, r, exact, sided)
         p_oracle = np.array([o.p_value for o in oracle])
         accepted = p_oracle > ALPHA
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # non-robust specs warn
             if not accepted.any():
                 with pytest.raises(EmptyAcceptanceRegion):
-                    invert_ci(data, spec, ALPHA, design, r=r, seed=17, grid=grid, exact=exact)
+                    invert_ci(data, spec, ALPHA, design, **kwargs)
                 continue
-            res = invert_ci(data, spec, ALPHA, design, r=r, seed=17, grid=grid, exact=exact)
+            res = invert_ci(data, spec, ALPHA, design, **kwargs)
         np.testing.assert_array_equal(res.points, points)
         np.testing.assert_array_equal(res.p_values, p_oracle, err_msg=spec.label)
         assert (res.lower_at_edge, res.upper_at_edge) == (bool(accepted[0]), bool(accepted[-1]))
@@ -169,7 +181,7 @@ def test_closed_form_matches_grid_scan(name):
         else:
             assert points[first - 1] < res.lower <= points[first]
             inside, outside = _oracle(
-                data, spec, design, [res.lower + nudge, res.lower - nudge], r, exact
+                data, spec, design, [res.lower + nudge, res.lower - nudge], r, exact, sided
             )
             assert inside.p_value > ALPHA >= outside.p_value, spec.label
         if last == points.size - 1:
@@ -177,7 +189,7 @@ def test_closed_form_matches_grid_scan(name):
         else:
             assert points[last] <= res.upper < points[last + 1]
             inside, outside = _oracle(
-                data, spec, design, [res.upper - nudge, res.upper + nudge], r, exact
+                data, spec, design, [res.upper - nudge, res.upper + nudge], r, exact, sided
             )
             assert inside.p_value > ALPHA >= outside.p_value, spec.label
 
@@ -280,3 +292,184 @@ def test_batched_boundary_matches_sequential_in_invert_ci(name, monkeypatch):
     sequential = invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
     assert (batched.lower, batched.upper) == (sequential.lower, sequential.upper)
     np.testing.assert_array_equal(batched.p_values, sequential.p_values)
+
+
+def _settle_nothing(rows, *args):
+    return np.ones(rows.shape[0], dtype=bool), 0
+
+
+def _interval(data, spec, design, r, exact, sided, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # non-robust specs warn
+        try:
+            res = invert_ci(
+                data, spec, ALPHA, design, r=r, seed=17, grid=grid, exact=exact, sided=sided
+            )
+        except EmptyAcceptanceRegion:
+            return None
+    return res.lower, res.upper, res.p_values.tobytes(), res.lower_at_edge, res.upper_at_edge
+
+
+@pytest.mark.parametrize("sided", engine._SIDES)
+@pytest.mark.parametrize("name", [*CASES, "nan-replicates"])
+def test_pruned_search_matches_full_search(name, sided, monkeypatch):
+    # the boundary searches skip the replicates settled in their bracket;
+    # scoring every replicate must give the same interval bit for bit
+    data, design, r, exact = _case(name)
+    kept, nan_rows = [], []
+    settle = engine._settle
+
+    def recording(rows, *args):
+        keep, extreme = settle(rows, *args)
+        kept.append(keep.mean())
+        nan_rows.append(np.all(keep[~np.isfinite(rows).all(axis=1)]))
+        return keep, extreme
+
+    for grid in (None, _grid(data, design)):
+        for spec in ALL_SPECS:
+            monkeypatch.setattr(engine, "_settle", recording)
+            pruned = _interval(data, spec, design, r, exact, sided, grid)
+            monkeypatch.setattr(engine, "_settle", _settle_nothing)
+            full = _interval(data, spec, design, r, exact, sided, grid)
+            assert pruned == full, (spec.label, grid)
+    assert min(kept) < 0.5  # every case settles most replicates in some bracket
+    assert all(nan_rows)
+
+
+def _bisection_shifts(rng, inside, outside):
+    """Every midpoint of the first six halvings and of one random 64-halving walk."""
+    mids, ends = [], [(inside, outside)]
+    for a, b in ends[:63]:
+        mids.append(a + (b - a) / 2)
+        ends += [(mids[-1], b), (a, mids[-1])]
+    for _ in range(64):
+        mids.append(inside + (outside - inside) / 2)
+        inside, outside = (mids[-1], outside) if rng.random() < 0.5 else (inside, mids[-1])
+    return mids
+
+
+def _settle_trial(rng, studentization):
+    """(rows, nodes, ends): an observed row and 64 replicates of node values
+    around a bracket 1e-1 to 1e-8 as wide as the nodes' span. The replicates
+    tie with the observed statistic, graze it (a double root of the
+    quartic), nearly tie, cross zero, have a squared SE near 0, or a node
+    value that is not finite."""
+    lo = rng.normal(scale=10.0)
+    hi = lo + 10.0 ** rng.uniform(-2, 2)
+    mid = lo + (hi - lo) / 2
+    width = (hi - lo) * 10.0 ** rng.uniform(-8, -1)
+    a = rng.uniform(lo, hi - width)
+    b = min(a + width, hi)
+    star = rng.uniform(a, b)
+
+    def row(tau, se2):
+        return [tau(lo), tau(hi), se2(lo), se2(mid), se2(hi)]
+
+    scale = 10.0 ** rng.uniform(-3, 3)
+    t_star = rng.choice([1.7, -1.7, 2.5, 0.8, 1e-3, 0.0]) * 10.0 ** rng.uniform(-0.2, 0.2)
+    slope = rng.normal() * rng.choice([0.0, 0.01, 0.1, 1.0]) * scale / width
+    curve = 10.0 ** rng.uniform(-4, 1) * scale**2 / (hi - lo) ** 2
+    floor = scale**2 * (10.0 ** rng.uniform(-14, -6) if rng.random() < 0.1 else 1.0)
+
+    def tau_o(c):
+        return t_star * scale + slope * (c - star)
+
+    def se2_o(c):
+        return floor + curve * (c - star) ** 2
+
+    rows = [row(tau_o, se2_o)]
+    for i in range(64):
+        lam = 10.0 ** rng.uniform(-2, 2)
+        kind = i % 8
+        if kind == 0:  # the same statistic at every shift, or nearly
+            rel = rng.choice([0.0, 1e-13, -1e-13, 1e-10, -1e-10, 1e-8, -1e-8, 1e-5])
+            rows.append(row(lambda c: lam * tau_o(c), lambda c: lam**2 * (1 + rel) * se2_o(c)))
+        elif kind == 1:  # grazes |t_obs| at `star`, from below or above, or
+            # crosses it just inside both ends
+            dip = 10.0 ** rng.uniform(-5, -2) * floor * (i % 16 == 1)
+            k = rng.choice([1.0, -0.5]) * curve + 64 * dip / (b - a) ** 2
+            rows.append(
+                row(
+                    lambda c: lam * tau_o(c),
+                    lambda c: lam**2 * (se2_o(c) - dip + k * (c - star) ** 2),
+                )
+            )
+        elif kind == 2:  # the observed statistic mirrored
+            rows.append(row(lambda c: -lam * tau_o(c), lambda c: lam**2 * se2_o(c)))
+        elif kind == 3:  # the estimate changes sign at `star`
+            g = rng.normal() * scale / width
+            rows.append(row(lambda c: g * (c - star), lambda c: lam * scale**2))
+        elif kind == 4:  # a squared SE near 0 inside the bracket, its
+            # estimate too at times, so that rounding decides
+            eps = 10.0 ** rng.uniform(-30, -2)
+            shrink = np.sqrt(eps) * (1 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-4, -1))
+            shrink = shrink if i % 16 == 4 else 1.0
+            rows.append(
+                row(lambda c: shrink * tau_o(c), lambda c: scale**2 * eps + curve * (c - star) ** 2)
+            )
+        elif kind == 5:  # a NaN or infinite node value
+            vals = row(lambda c: rng.normal() * tau_o(c), se2_o)
+            vals[rng.integers(5)] = rng.choice([np.nan, np.inf, -np.inf])
+            rows.append(vals)
+        else:  # an ordinary replicate near the observed statistic
+            t = t_star * (1 + rng.normal(scale=0.05)) if rng.random() < 0.5 else rng.normal(scale=2)
+            g = rng.normal() * scale / width * 0.05
+            rows.append(
+                row(lambda c: scale * t + g * (c - star), lambda c: scale**2 + curve * (c - a) ** 2)
+            )
+    rows = np.array(rows)
+    if studentization == "none":
+        rows[:, 2:] = 1.0
+    ends = (a, b) if rng.random() < 0.5 else (b, a)
+    return rows, (lo, mid, hi), ends
+
+
+@pytest.mark.parametrize("studentization", ["robust", "none"])
+@pytest.mark.parametrize("sided", engine._SIDES)
+def test_settled_replicates_keep_their_status_in_the_bracket(sided, studentization):
+    # no settled replicate may change its extreme status, as `_stat_at_shift`
+    # and `_count_extreme` decide it, anywhere a search can score it
+    rng = gen(1607)
+    settled_total = flipping_total = 0
+    for _ in range(750):
+        rows, nodes, ends = _settle_trial(rng, studentization)
+        inside, outside = ends
+        shifts = np.array([inside, outside, *_bisection_shifts(rng, inside, outside)])
+        shifts = np.concatenate([shifts, rng.uniform(min(ends), max(ends), size=1000)])
+        t = engine._stat_at_shift(rows, nodes, shifts, studentization)
+        status = engine._count_extreme(t[None, 1:], t[0], sided)  # (replicates, shifts)
+        keep, extreme = engine._settle(rows, nodes, ends, studentization, sided)
+        assert keep[0]
+        assert keep[1:][~np.isfinite(rows[1:]).all(axis=1)].all()
+        settled = status[~keep[1:]]
+        assert (settled == settled[:, :1]).all()
+        assert extreme == settled[:, 0].sum() == settled[:, 1].sum()
+        settled_total += settled.shape[0]
+        flipping_total += np.count_nonzero(status.min(axis=1) != status.max(axis=1))
+    # the rule settles most ordinary replicates, and the trials do flip others
+    assert settled_total > 0.2 * 750 * 64
+    assert flipping_total > 0.05 * 750 * 64
+
+
+def test_squared_se_lost_to_cancellation_is_not_settled():
+    # the quadratic (c - 0.3)^2 through nodes 0.1, 0.55 and 1 reads about
+    # 1e-18 just right of 0.3, below the rounding of its interpolation, so
+    # rounding alone moves the replicate's statistic across the observed one
+    nodes = (0.1, 0.55, 1.0)
+    se2_nodes = [(c - 0.3) ** 2 for c in nodes]
+    rng = gen(1608)
+    flips = 0
+    for _ in range(100):
+        a = 0.3 + 1e-9 * (1 + rng.random())
+        b = a + 1e-9 * rng.random()
+        ends = np.array([a, b])
+        _, se2 = engine._interpolated(np.array([[0, 0, *se2_nodes]]), nodes, ends, "robust")
+        tau = 1.5 * np.sqrt(max(se2.min(), 0.0))  # |t| = 1.5 < 1.7 where the ends read most
+        rows = np.array([[1.7, 1.7, 1.0, 1.0, 1.0], [tau, tau, *se2_nodes]])
+        shifts = np.concatenate([[a, b], rng.uniform(a, b, size=1000)])
+        t = engine._stat_at_shift(rows, nodes, shifts, "robust")
+        status = engine._count_extreme(t[None, 1:], t[0], "two")[0]
+        flips += status.min() != status.max()
+        keep, _ = engine._settle(rows, nodes, (a, b), "robust", "two")
+        assert keep[1] or status.min() == status.max()
+    assert flips > 50
