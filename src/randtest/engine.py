@@ -290,7 +290,7 @@ def _stat_bounds(vals: np.ndarray, nodes, ends, studentization: str):
     |k| (b - a)^2 / 4; twice that is allowed. Both are widened by 64 eps
     times the sum of their node values' magnitudes, well above the rounding
     of the interpolation at any shift. A squared SE that may then reach 0
-    leaves no bound.
+    leaves t unbounded away from 0: only the bound nearer 0 remains.
     """
     a, b = ends
     eps = np.finfo(np.float64).eps
@@ -325,7 +325,7 @@ def _settle(rows: np.ndarray, nodes, ends, studentization: str, sided: str):
     replicate is settled when its bounds (`_stat_bounds`, of |t| if
     two-sided) clear the observed statistic's by more than _SETTLE_RTOL of
     max(1, |t_obs|), far above _TIE_RTOL. Rows with a non-finite node value
-    are never settled, nor is anything when the observed bounds fail.
+    are never settled, nor is anything when the observed row lacks a bound.
     """
     with np.errstate(all="ignore"):  # an overflowed bound still holds; a NaN one settles nothing
         lo, hi = _stat_bounds(rows, nodes, sorted(ends), studentization)
