@@ -61,8 +61,9 @@ EXHAUSTIVE_CAP = 1_000_000
 _STREAM_ROWS = 1024
 _SIDES = ("one", "two")
 _TIE_RTOL = 1e-9
-# Replicate-by-shift values scored at once when scanning the CI grid.
-_GRID_ELEMENTS = 1 << 17
+# Replicate-by-shift values scored at once when scanning the CI grid: each
+# float64 temporary of a chunk stays near 200 KB, inside the L2 cache.
+_GRID_ELEMENTS = 25_000
 # Halvings whose midpoints one CI boundary round scores at once.
 _BISECT_DEPTH = 4
 # Gap, relative to max(1, |t_obs|), by which a replicate must clear the
@@ -398,7 +399,8 @@ def invert_ci(
     Every fit depends on the reference assignment and X alone, so a
     replicate's estimate is linear in c and each squared SE quadratic in c;
     interpolating those three evaluations gives the statistic at every grid
-    point in O(R). The cost is three evaluations of the reference set
+    point in O(R). One evaluator holds the three shifted outcomes, so the
+    reference set is read in one pass, and the observed row in one more,
     whatever the grid size. The result carries the p-value of every grid
     point and flags an accepted region that reaches either grid edge.
 
@@ -439,13 +441,14 @@ def invert_ci(
 
     z_form = design.analysis_form(replace(data, y=data.z.astype(np.float64)))[0].y
     nodes = (lo, lo + (hi - lo) / 2, hi)
-    evaluators = [make_evaluator(adata.y - c * z_form, adata.x, adesign.strata) for c in nodes]
+    outcomes = np.stack([adata.y - c * z_form for c in nodes])
+    evaluator = make_evaluator(outcomes, adata.x, adesign.strata)
 
     def node_values(rows):
         # per row: tau at lo and hi, then the squared SE at lo, mid and hi
         se2 = 2 if spec.studentization == "robust" else 1  # row of the triple
-        at = [evaluator.triples(rows, spec.adjustment) for evaluator in evaluators]
-        return np.column_stack([at[0][0], at[2][0], *(triple[se2] for triple in at)])
+        at = evaluator.triples(rows, spec.adjustment)  # (node, triple, row)
+        return np.column_stack([at[0, 0], at[2, 0], *at[:, se2]])
 
     vals = node_values(zmat)
     obs = _observed(vals, zmat, adata.z, exact, node_values)

@@ -15,6 +15,7 @@ from randtest import (
     CompleteDesign,
     Dataset,
     DegenerateArm,
+    DimensionMismatch,
     InvalidSizes,
     PermLmSpec,
     RankDeficient,
@@ -78,6 +79,24 @@ def test_make_evaluator_dispatch():
     assert isinstance(make_evaluator(data.y, data.x), CompleteEvaluator)
     strata = np.repeat([0, 1], 10)
     assert isinstance(make_evaluator(data.y, data.x, strata), StratifiedEvaluator)
+
+
+@pytest.mark.parametrize("strata", [None, np.repeat([0, 1], 10)])
+def test_outcomes_share_one_evaluator(strata):
+    # K outcomes give (K, 3, B) triples; a bad outcome shape is rejected
+    data = random_dataset(109, n=20, j=1)
+    zmat = _random_zmat(gen(110), 30, 20, 10) if strata is None else np.column_stack(
+        [_random_zmat(gen(110), 30, 10, 5), _random_zmat(gen(111), 30, 10, 5)])
+    ys = np.stack([data.y, 2.0 * data.y + data.x[:, 0]])
+    got = make_evaluator(ys, data.x, strata).triples_each(zmat, "nrfl")
+    for adjustment in "nrfl":
+        assert got[adjustment].shape == (2, 3, 30)
+        for k, y in enumerate(ys):
+            want = make_evaluator(y, data.x, strata).triples(zmat, adjustment)
+            np.testing.assert_allclose(got[adjustment][k], want, rtol=1e-12)
+    for bad in (ys[:, :19], ys[None]):
+        with pytest.raises(DimensionMismatch):
+            make_evaluator(bad, data.x, strata)
 
 
 def test_constant_outcome_gives_zero_everywhere():

@@ -14,13 +14,19 @@ The boundary searches score only the replicates that are not settled in
 their bracket. A differential test holds them to the search over every
 replicate, and a seeded fuzz checks that no settled replicate changes its
 extreme status anywhere in its bracket.
+
+One evaluator holds the three shifted outcomes and reads the reference set
+once. Differential tests hold it to three single-outcome evaluators, and a
+counting test to one build, one pass and one observed-row call.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import randtest._batch as _batch
 import randtest.engine as engine
 from randtest import (
     ALL_SPECS,
@@ -481,3 +487,121 @@ def test_squared_se_lost_to_cancellation_is_not_settled():
         keep, _ = engine._settle(rows, nodes, (a, b), "robust", "two")
         assert keep[1] or status.min() == status.max()
     assert flips > 50
+
+
+# -- one pass over the reference set for the three nodes ----------------------
+
+
+def _node_problem(name):
+    """(adata, adesign, the outcomes Y - cZ at three shifts, reference rows)."""
+    data, design, r, exact = _case(name)
+    adata, adesign = design.analysis_form(data)
+    z_form = design.analysis_form(replace(data, y=data.z.astype(np.float64)))[0].y
+    lo, hi, _ = _grid(data, design)
+    ys = np.stack([adata.y - c * z_form for c in (lo, lo + (hi - lo) / 2, hi)])
+    zmat = engine._reference_set(adesign, r, 17, exact)
+    return adata, adesign, ys, zmat
+
+
+@pytest.mark.parametrize("name", [*CASES, "nan-replicates"])
+def test_one_pass_node_triples_match_single_outcome_evaluators(name):
+    adata, adesign, ys, zmat = _node_problem(name)
+    rows = np.concatenate([zmat, adata.z[None, :].astype(np.uint8)])
+    adjustments = "nrfl" if adata.j else "nr"
+    one_pass = _batch.make_evaluator(ys, adata.x, adesign.strata).triples_each(rows, adjustments)
+    refit = estimate if adesign.strata is None else engine.estimate_stratified
+    for node, y in enumerate(ys):
+        single = _batch.make_evaluator(y, adata.x, adesign.strata).triples_each(rows, adjustments)
+        for adjustment in adjustments:
+            got, want = one_pass[adjustment][node], single[adjustment]
+            assert got.shape == want.shape == (3, rows.shape[0])
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            scale = np.abs(want[0]) + np.sqrt(np.abs(want[2]))
+            assert np.nanmax(np.abs(got[0] - want[0]) / scale) <= 1e-12, adjustment
+            assert np.nanmax(np.abs(got[1:] - want[1:]) / np.abs(want[1:])) <= 1e-12, adjustment
+            # the refits on the node's outcome, for the first rows and the observed one
+            for i in [0, 1, 2, rows.shape[0] - 1]:
+                if np.isnan(got[0, i]):  # a singular arm, which the refit rejects
+                    continue
+                ref = refit(Dataset(y, rows[i].astype(np.int64), adata.x, strata=adata.strata),
+                            adjustment)
+                tol = 1e-8 * (abs(ref.tau_hat) + ref.se_robust)
+                assert abs(got[0, i] - ref.tau_hat) <= tol, (adjustment, i)
+                assert abs(got[1, i] - ref.se_classic**2) <= 1e-8 * ref.se_classic**2
+                assert abs(got[2, i] - ref.se_robust**2) <= 1e-8 * ref.se_robust**2
+
+
+class _SingleOutcomeEvaluators:
+    """The three node outcomes as three single-outcome evaluators, each
+    reading the reference rows on its own."""
+
+    def __init__(self, ys, x, strata=None):
+        self.parts = [_batch.make_evaluator(y, x, strata) for y in ys]
+
+    def triples(self, rows, adjustment):
+        return np.stack([part.triples(rows, adjustment) for part in self.parts])
+
+
+@pytest.mark.parametrize("sided", engine._SIDES)
+@pytest.mark.parametrize("name", [*CASES, "nan-replicates"])
+def test_one_pass_interval_matches_single_outcome_evaluators(name, sided, monkeypatch):
+    # the grid p-values equal those of separate evaluators bit for bit, and
+    # the endpoints, which read the nodes' last bits, agree to 1e-12
+    data, design, r, exact = _case(name)
+    for grid in (None, _grid(data, design)):
+        for spec in ALL_SPECS:
+            monkeypatch.setattr(engine, "make_evaluator", _batch.make_evaluator)
+            got = _interval(data, spec, design, r, exact, sided, grid)
+            monkeypatch.setattr(engine, "make_evaluator", _SingleOutcomeEvaluators)
+            want = _interval(data, spec, design, r, exact, sided, grid)
+            assert (got is None) == (want is None), (spec.label, grid)
+            if got is None:
+                continue
+            assert got[2:] == want[2:], (spec.label, grid)
+            for a, b in zip(got[:2], want[:2]):
+                assert abs(a - b) <= 1e-12 * abs(b), (spec.label, grid, a, b)
+
+
+@pytest.mark.parametrize("name", ["complete-half", "stratified", "cluster-unequal", "exact-half"])
+def test_invert_ci_reads_the_reference_set_once(name, monkeypatch, small_blocks):
+    # one evaluator build, one pass over the reference rows that casts each
+    # block to float64 once, and in Monte Carlo mode one observed-row call
+    small_blocks(400)  # several blocks per pass
+    data, design, r, exact = _case(name)
+    builds, passes, blocks = [], [], []
+    build = engine.make_evaluator
+
+    def make_evaluator(*args):
+        builds.append(build(*args))
+        return builds[-1]
+
+    kind = _batch.CompleteEvaluator if data.strata is None else _batch.StratifiedEvaluator
+    triples_each, moments = kind.triples_each, _batch.CompleteEvaluator._moments
+
+    def counted_triples_each(self, zmat, adjustments):
+        passes.append(zmat.shape)
+        return triples_each(self, zmat, adjustments)
+
+    def counted_moments(self, block):
+        blocks.append((self, block.copy()))
+        return moments(self, block)
+
+    monkeypatch.setattr(engine, "make_evaluator", make_evaluator)
+    monkeypatch.setattr(kind, "triples_each", counted_triples_each)
+    monkeypatch.setattr(_batch.CompleteEvaluator, "_moments", counted_moments)
+    invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
+
+    adata, adesign = design.analysis_form(data)
+    rows = engine._reference_set(adesign, r, 17, exact)
+    if not exact:
+        rows = np.concatenate([rows, adata.z[None, :].astype(np.uint8)])
+    assert len(builds) == 1
+    assert passes == ([rows.shape] if exact else [(r, adata.n), (1, adata.n)])
+    evaluator = builds[0]
+    parts = getattr(evaluator, "parts", [evaluator])
+    columns = getattr(evaluator, "columns", [slice(None)])
+    for part, cols in zip(parts, columns):
+        mine = [block for owner, block in blocks if owner is part]
+        assert len(mine) > 2
+        np.testing.assert_array_equal(np.concatenate(mine), rows[:, cols])
+    assert {id(owner) for owner, _ in blocks} == {id(part) for part in parts}
