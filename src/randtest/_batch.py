@@ -52,6 +52,15 @@ def _studentized(tau: np.ndarray, se2: np.ndarray) -> np.ndarray:
     return t
 
 
+def _statistic(triple, studentization: str) -> np.ndarray:
+    """The statistic of a (tau, classic se^2, robust se^2) triple of arrays;
+    `estimators.studentize` is the reference for one triple of SEs."""
+    tau, se2_classic, se2_robust = triple
+    if studentization == "none":
+        return tau
+    return _studentized(tau, se2_robust if studentization == "robust" else se2_classic)
+
+
 def _centered_qr(x: np.ndarray, *ycs: np.ndarray):
     """(q, e, ...): an orthonormal basis of the centered covariates' span and
     the residual on (1, X) of each centered outcome in `ycs`; RankDeficient if
@@ -339,7 +348,5 @@ def stat_matrix(evaluator, zmat: np.ndarray, specs: list[StatisticSpec]) -> np.n
     by_adjustment = evaluator.triples_each(zmat, dict.fromkeys(s.adjustment for s in specs))
     out = np.empty((zmat.shape[0], len(specs)))
     for col, spec in enumerate(specs):
-        tau, se2_classic, se2_robust = by_adjustment[spec.adjustment]
-        se2 = se2_robust if spec.studentization == "robust" else se2_classic
-        out[:, col] = tau if spec.studentization == "none" else _studentized(tau, se2)
+        out[:, col] = _statistic(by_adjustment[spec.adjustment], spec.studentization)
     return out

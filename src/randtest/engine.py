@@ -26,6 +26,7 @@ prefix of any longer run with the same seed.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from concurrent.futures import (
     ThreadPoolExecutor,  # unused here; perfbench/spans.py wraps pool tasks at this name
@@ -126,14 +127,23 @@ def exhaustive_assignments(design: DesignSpec) -> np.ndarray:
     return design.enumerate()
 
 
-def _streams(r: int, seed: int):
-    """(start, stop, generator) for each chunk of `_STREAM_ROWS` replicates."""
+def _whole(value, least: int, what: str) -> int:
+    """`value` as an int; InvariantViolation unless it is an integer >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvariantViolation(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _streams(r: int, seed):
+    """(start, stop, generator) for each chunk of `_STREAM_ROWS` replicates;
+    InvariantViolation unless `seed` is a non-negative integer."""
+    seed = _whole(seed, 0, "seed")
     for c, start in enumerate(range(0, r, _STREAM_ROWS)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, c))))
         yield start, min(start + _STREAM_ROWS, r), rng
 
 
-def _draw_matrix(design: DesignSpec, r: int, seed: int) -> np.ndarray:
+def _draw_matrix(design: DesignSpec, r: int, seed) -> np.ndarray:
     """R assignments drawn chunk by chunk, one stream per chunk."""
     out = np.empty((r, design.n_units), dtype=np.uint8)
     for start, stop, rng in _streams(r, seed):
@@ -142,10 +152,7 @@ def _draw_matrix(design: DesignSpec, r: int, seed: int) -> np.ndarray:
 
 
 def _replicate_count(r) -> int:
-    r = int(r)
-    if r < 1:
-        raise InvariantViolation(f"need at least one replicate, got R={r}")
-    return r
+    return _whole(r, 1, "R (replicates)")
 
 
 def _check_sided(sided: str):
@@ -157,7 +164,7 @@ def _reference_set(design: DesignSpec, r, seed, exact: bool) -> np.ndarray:
     """The whole assignment space, or `r` draws from the stream of `seed`."""
     if exact:
         return exhaustive_assignments(design)
-    return _draw_matrix(design, _replicate_count(r), int(seed))
+    return _draw_matrix(design, _replicate_count(r), seed)
 
 
 def _observed(vals: np.ndarray, zmat: np.ndarray, z: np.ndarray, exact: bool, evaluate):
@@ -255,6 +262,19 @@ def wald_ci(triple: EstimateTriple, alpha: float) -> tuple[float, float]:
         raise ZeroSe("robust standard error must be positive for a Wald interval")
     q = float(scipy.special.ndtri(1 - alpha / 2))
     return (triple.tau_hat - q * triple.se_robust, triple.tau_hat + q * triple.se_robust)
+
+
+def _grid(grid) -> tuple[float, float, int]:
+    """(lo, hi, num) of a CI grid: finite lo < hi with a finite span, and an
+    integer num >= 2; InvariantViolation for anything else."""
+    try:
+        lo, hi, num = grid
+        lo, hi, num = float(lo), float(hi), _whole(num, 2, "num")
+        if hi > lo and math.isfinite(hi - lo):
+            return lo, hi, num
+    except (TypeError, ValueError, InvariantViolation):
+        pass
+    raise InvariantViolation(f"grid must be (lo, hi, num), finite lo < hi, int num >= 2: {grid!r}")
 
 
 def _interpolated(vals: np.ndarray, nodes, c: np.ndarray, studentization: str):
@@ -419,20 +439,16 @@ def invert_ci(
     _check_sided(sided)
     adata, adesign = design.analysis_form(data)
     triple = (estimate if adesign.strata is None else estimate_stratified)(adata, spec.adjustment)
-    if grid is None:
+    try:
         wald = wald_ci(triple, alpha)
+    except ZeroSe:
+        if grid is None:
+            raise
+        wald = (math.nan, math.nan)  # an explicit grid works where the Wald interval does not
+    if grid is None:
         width = wald[1] - wald[0]
-        lo, hi, num = wald[0] - 3 * width, wald[1] + 3 * width, 201
-    else:
-        # an explicit grid works even where the Wald interval is undefined
-        try:
-            wald = wald_ci(triple, alpha)
-        except ZeroSe:
-            wald = (math.nan, math.nan)
-        lo, hi, num = grid
-        num = int(num)
-        if num < 2 or not hi > lo:
-            raise InvariantViolation("grid must be (lo, hi, num) with hi > lo and num >= 2")
+        grid = (wald[0] - 3 * width, wald[1] + 3 * width, 201)
+    lo, hi, num = _grid(grid)
     points = np.linspace(lo, hi, num)
     step = (hi - lo) / (num - 1)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import _centered_qr, _studentized
+from ._batch import _centered_qr, _statistic
 from .engine import (
     FrtResult,
     _check_sided,
@@ -96,64 +96,44 @@ class _Projection:
         self.sum_e2 = float(self.e @ self.e)
         self.sum_eps2 = float(self.eps_f @ self.eps_f)
         self.delta2 = self.delta * self.delta
+        # per scheme, the permuted vector and its total sum of squares
+        self.scheme_forms = {
+            "fl": (self.e, self.sum_e2),
+            "kennedy": (self.e, self.sum_e2),
+            "terbraak": (self.eps_f, self.sum_eps2),
+            "manly": (self.yc, float(self.yc @ self.yc)),
+        }
 
     def observed_stat(self, studentization: str) -> float:
-        dof = self.n - 2 - self.j
-        se2_c = max(self.c * self.sum_e2 - self.tau_f**2, 0.0) / dof
+        se2_c = max(self.c * self.sum_e2 - self.tau_f**2, 0.0) / (self.n - 2 - self.j)
         se2_r = self.c**2 * float(self.delta2 @ self.eps_f**2)
-        tau = np.array([self.tau_f])
-        if studentization == "none":
-            return self.tau_f
-        se2 = se2_c if studentization == "classic" else se2_r
-        return float(_studentized(tau, np.array([se2]))[0])
-
-    def scheme_vector(self, scheme: str) -> np.ndarray:
-        if scheme in ("fl", "kennedy"):
-            return self.e
-        if scheme == "terbraak":
-            return self.eps_f
-        return self.yc
+        triple = np.array([[self.tau_f], [se2_c], [se2_r]])
+        return float(_statistic(triple, studentization)[0])
 
     def replicate_forms(self, perms: np.ndarray, scheme: str):
         """(coefficient, classic se^2, robust se^2) for each permutation row."""
-        vmat = self.scheme_vector(scheme)[perms]
+        vector, total_ss = self.scheme_forms[scheme]
+        vmat = vector[perms]
         shift = self.c * (vmat @ self.delta)
-        mu = vmat.mean(axis=1)
-        g = vmat @ self.q
-        dof_full = self.n - 2 - self.j
-
-        if scheme == "kennedy":
-            coef = shift
-            se2_c = np.maximum(self.c * self.sum_e2 - coef**2, 0.0) / (self.n - 2)
-            eta = vmat - self.delta[None, :] * coef[:, None]
-            se2_r = self.c**2 * (eta**2 @ self.delta2)
-            return coef, se2_c, se2_r
-
-        # The other three refit the full model on a scheme-specific outcome;
-        # only the (I-H)-projected permuted vector enters the forms.
-        v_h_v = self.n * mu**2 + np.einsum("ij,ij->i", g, g)
-        proj = vmat - mu[:, None] - g @ self.q.T
-        if scheme == "fl":
-            coef = shift
-            resid_ss = self.sum_e2 - v_h_v
-        elif scheme == "terbraak":
-            coef = self.tau_f + shift
-            resid_ss = self.sum_eps2 - v_h_v
-        else:  # manly
-            coef = shift
-            resid_ss = float(self.yc @ self.yc) - v_h_v
-        se2_c = np.maximum(self.c * resid_ss - shift**2, 0.0) / dof_full
+        if scheme == "kennedy":  # a fit of e_pi on (1, delta): nothing to project out
+            proj, resid_ss, dof = vmat, total_ss, self.n - 2
+        else:
+            # a refit of the full model, where only the (I-H)-projected
+            # permuted vector enters the forms
+            mu, g = vmat.mean(axis=1), vmat @ self.q
+            proj = vmat - mu[:, None] - g @ self.q.T
+            resid_ss = total_ss - (self.n * mu**2 + np.einsum("ij,ij->i", g, g))
+            dof = self.n - 2 - self.j
+        se2_c = np.maximum(self.c * resid_ss - shift**2, 0.0) / dof
         eta = proj - self.delta[None, :] * shift[:, None]
         se2_r = self.c**2 * (eta**2 @ self.delta2)
+        coef = self.tau_f + shift if scheme == "terbraak" else shift
         return coef, se2_c, se2_r
 
     def replicate_stats(self, perms: np.ndarray, spec: PermLmSpec) -> np.ndarray:
         coef, se2_c, se2_r = self.replicate_forms(perms, spec.scheme)
         center = self.tau_f if spec.scheme == "terbraak" else 0.0
-        if spec.studentization == "none":
-            return coef - center
-        se2 = se2_c if spec.studentization == "classic" else se2_r
-        return _studentized(coef - center, se2)
+        return _statistic((coef - center, se2_c, se2_r), spec.studentization)
 
 
 def closed_form_replicates(data: Dataset, permutations: np.ndarray, scheme: str):
@@ -207,7 +187,7 @@ def refit_replicates(data: Dataset, permutations: np.ndarray, scheme: str):
     return out[:, 0], out[:, 1], out[:, 2]
 
 
-def _draw_permutations(n: int, r: int, seed: int) -> np.ndarray:
+def _draw_permutations(n: int, r: int, seed) -> np.ndarray:
     """R label shuffles drawn chunk by chunk, one stream per chunk."""
     out = np.empty((r, n), dtype=np.int64)
     for start, stop, rng in _streams(r, seed):
@@ -235,7 +215,7 @@ def perm_lm_p_value(
     r = _replicate_count(r)
     prep = _Projection(data)
     t_obs = prep.observed_stat(spec.studentization)
-    perms = _draw_permutations(data.n, r, int(seed))
+    perms = _draw_permutations(data.n, r, seed)
     step = max(1, _BLOCK_ELEMENTS // data.n)
     blocks = np.split(perms, range(step, r, step))
     vals = np.concatenate([prep.replicate_stats(block, spec) for block in blocks])

@@ -208,13 +208,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         _, p = frt_p_values(data, specs, pop.design, r=cfg.permutations, seed=int(frt_seeds[rep]))
         p_values[rep] = p
 
-    nworkers = worker_count()
-    if nworkers == 1:
-        for rep in range(cfg.reps):
-            one_rep(rep)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(one_rep, range(cfg.reps)))
+    # map cancels the queued repetitions once one fails
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        list(pool.map(one_rep, range(cfg.reps)))
 
     rates = (p_values <= cfg.alpha).mean(axis=0)
     mc_se = np.sqrt(rates * (1 - rates) / cfg.reps)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randtest.simulate as simulate
 from randtest import (
     ALL_SPECS,
     AcceptanceTimeout,
@@ -254,6 +256,24 @@ def test_scenario_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     threaded = run_scenario(small_null())
     np.testing.assert_array_equal(serial.p_values, threaded.p_values)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_repetition_stops_the_scenario(threads, monkeypatch):
+    # the pool cancels the queued repetitions once one fails, one thread or two
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.05)
+        raise InvariantViolation("injected")
+
+    monkeypatch.setenv("RANDTEST_THREADS", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "frt_p_values", failing)
+    with pytest.raises(InvariantViolation, match="injected"):
+        run_scenario(replace(small_null(), reps=40))
+    assert len(calls) < 10
 
 
 def test_env_var_caps_workers(monkeypatch):
