@@ -110,11 +110,15 @@ class _Projection:
         triple = np.array([[self.tau_f], [se2_c], [se2_r]])
         return float(_statistic(triple, studentization)[0])
 
-    def replicate_forms(self, perms: np.ndarray, scheme: str):
-        """(coefficient, classic se^2, robust se^2) for each permutation row."""
+    def replicate_forms(self, perms: np.ndarray, scheme: str, with_se: bool = True):
+        """(coefficient, classic se^2, robust se^2) for each permutation row;
+        both SEs are None unless `with_se`."""
         vector, total_ss = self.scheme_forms[scheme]
         vmat = vector[perms]
         shift = self.c * (vmat @ self.delta)
+        coef = self.tau_f + shift if scheme == "terbraak" else shift
+        if not with_se:
+            return coef, None, None
         if scheme == "kennedy":  # a fit of e_pi on (1, delta): nothing to project out
             proj, resid_ss, dof = vmat, total_ss, self.n - 2
         else:
@@ -127,11 +131,11 @@ class _Projection:
         se2_c = np.maximum(self.c * resid_ss - shift**2, 0.0) / dof
         eta = proj - self.delta[None, :] * shift[:, None]
         se2_r = self.c**2 * (eta**2 @ self.delta2)
-        coef = self.tau_f + shift if scheme == "terbraak" else shift
         return coef, se2_c, se2_r
 
     def replicate_stats(self, perms: np.ndarray, spec: PermLmSpec) -> np.ndarray:
-        coef, se2_c, se2_r = self.replicate_forms(perms, spec.scheme)
+        with_se = spec.studentization != "none"  # an unstudentized test needs no SE
+        coef, se2_c, se2_r = self.replicate_forms(perms, spec.scheme, with_se)
         center = self.tau_f if spec.scheme == "terbraak" else 0.0
         return _statistic((coef - center, se2_c, se2_r), spec.studentization)
 

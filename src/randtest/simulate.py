@@ -14,9 +14,12 @@ on the ball of squared radius a, and the mixture U(rho) built from it.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -182,6 +185,71 @@ def worker_count() -> int:
     return max(1, int(count))
 
 
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    numpy and scipy each bundle their own OpenBLAS under a prefixed, possibly
+    64-bit-suffixed, symbol name. The libraries are found in /proc/self/maps,
+    so none are found off Linux, and only ones already mapped are opened
+    (RTLD_NOLOAD).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            # a line naming a file ends in its path, the sixth field
+            paths = {line.split(maxsplit=5)[5].rstrip("\n") for line in maps if "openblas" in line}
+    except OSError:
+        return []
+    controls = []
+    for path in (p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+class _OneBlasThread:
+    """Caps every loaded OpenBLAS at one thread while a scenario's pool runs.
+
+    Each repetition's worker calls BLAS, and OpenBLAS's own threads would
+    contend for the cores the other workers use. The counts are process-wide,
+    so concurrent and nested callers share one lock and depth: the first to
+    enter saves the counts and the last to leave restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(put, get()) for get, put in _openblas_thread_controls()]
+                for put, _ in self._saved:
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for put, count in self._saved:
+                    put(count)
+                self._saved = []
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Rejection rates over `reps` fresh assignments of one population.
 
@@ -209,7 +277,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         p_values[rep] = p
 
     # map cancels the queued repetitions once one fails
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with _one_blas_thread, ThreadPoolExecutor(max_workers=worker_count()) as pool:
         list(pool.map(one_rep, range(cfg.reps)))
 
     rates = (p_values <= cfg.alpha).mean(axis=0)

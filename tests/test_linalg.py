@@ -1,11 +1,15 @@
 """Small dense OLS kernel: exact examples, sandwich algebra, rank handling."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randtest
 from randtest import (
     CompleteDesign,
     RankDeficient,
@@ -116,3 +120,14 @@ def test_no_matrix_right_hand_side_reaches_scipy(monkeypatch, tmp_path, capsysbi
             "--reps", "99"]
     assert main(argv) == 0
     assert calls and not matrix_calls
+
+
+def test_only_simulate_sets_blas_threads():
+    # the OpenBLAS thread cap is process-wide state: one module owns it
+    package = Path(randtest.__file__).parent
+    owners = {
+        path.name
+        for path in package.rglob("*.py")
+        if re.search(r"^\s*(import|from)\s+ctypes\b|set_num_threads", path.read_text(), re.M)
+    }
+    assert owners == {"simulate.py"}

@@ -1,7 +1,10 @@
 """Simulation harness: restricted reference constructs, populations, scenarios."""
 
+import contextlib
 import math
 import os
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -33,6 +36,7 @@ from randtest import (
     config_to_dict,
     draw,
     frt_p_value,
+    frt_p_values,
     make_population,
     p_histogram,
     r_constant,
@@ -271,9 +275,96 @@ def test_failed_repetition_stops_the_scenario(threads, monkeypatch):
     monkeypatch.setenv("RANDTEST_THREADS", threads)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(simulate, "frt_p_values", failing)
+    before = blas_counts()
     with pytest.raises(InvariantViolation, match="injected"):
         run_scenario(replace(small_null(), reps=40))
     assert len(calls) < 10
+    assert blas_counts() == before
+
+
+# -- the OpenBLAS thread cap -------------------------------------------------
+
+
+def blas_counts():
+    return [get() for get, _ in simulate._openblas_thread_controls()]
+
+
+@pytest.fixture
+def blas():
+    """The loaded OpenBLAS libraries' thread counts, each set to 2 for the
+    test (so that a cap to 1 shows) and set back after it."""
+    controls = simulate._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS with a thread-count API is loaded")
+    saved = blas_counts()
+    for _, put in controls:
+        put(2)
+    yield blas_counts()
+    for (_, put), count in zip(controls, saved):
+        put(count)
+
+
+def test_blas_threads_restored_after_scenario(blas):
+    run_scenario(small_null())
+    assert blas_counts() == blas
+    with simulate._one_blas_thread:  # a nested caller restores nothing
+        run_scenario(small_null())
+        assert blas_counts() == [1] * len(blas)
+    assert blas_counts() == blas
+
+
+def test_blas_runs_one_thread_inside_a_repetition(blas, monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(blas_counts())
+        return frt_p_values(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "frt_p_values", spy)
+    run_scenario(small_null())
+    assert seen == [[1] * len(blas)] * small_null().reps
+
+
+@pytest.mark.parametrize("cfg", [
+    small_null(),
+    replace(builtin_scenario("rem-invalid"), reps=6, permutations=49),
+])
+def test_blas_cap_leaves_p_values_bitwise_equal(blas, cfg, monkeypatch):
+    capped = run_scenario(cfg)
+    monkeypatch.setattr(simulate, "_one_blas_thread", contextlib.nullcontext())
+    uncapped = run_scenario(cfg)
+    np.testing.assert_array_equal(capped.p_values, uncapped.p_values)
+
+
+def test_concurrent_scenarios_restore_blas_threads(blas, monkeypatch):
+    # more callers than cores, switching often: a caller that saved another's
+    # cap as the original count would leave it behind
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    expected = run_scenario(small_null()).p_values
+    results, errors = [], []
+
+    def call():
+        try:
+            results.append(run_scenario(small_null()).p_values)
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    threads = [threading.Thread(target=call) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(results) == len(threads)
+    for p in results:
+        np.testing.assert_array_equal(p, expected)
+    assert blas_counts() == blas
 
 
 def test_env_var_caps_workers(monkeypatch):
