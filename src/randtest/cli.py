@@ -109,6 +109,9 @@ def load_csv(path: str) -> Dataset:
     the first bad cell, in column order y, z, x1..xJ, stratum, cluster, then
     in row order, by its 1-based file row and column name. Stratum and
     cluster labels are kept as strings and may not hold a NUL character.
+    After the header checks and before any cell check, the first row with
+    more cells than the header (a trailing comma counts) is a ParseError
+    naming its file row.
     """
     reader = csv.reader(io.StringIO(_read_utf8(path, "bad CSV"), newline=""))
     try:
@@ -138,6 +141,9 @@ def load_csv(path: str) -> Dataset:
 
     if not rows:
         raise ParseError("no data rows", row=1, column="")
+    if max(map(len, rows)) > len(header):
+        line = next(i for i, row in enumerate(rows, start=2) if len(row) > len(header))
+        raise ParseError(f"more cells than the {len(header)} header columns", row=line, column="")
 
     def column(name: str) -> np.ndarray:
         # One bulk parse (numpy converts each str with float()); only a

@@ -10,9 +10,11 @@ analysis form (`analysis_form`) and the reference set (drawn, or enumerated
 through `count`/`enumerate`) as uint8 rows, the batch evaluator is built
 once and evaluates the whole reference set, and the extreme replicates of
 every statistic are counted at once. `invert_ci` takes its reference set
-and its analysis form from the same place. Both read the observed statistic
-and turn extreme counts into p-values by one rule each (`_observed`,
-`_p_value`), which `perm_lm_p_value` shares. The evaluator splits the rows
+and its analysis form from the same place. The observed assignment is row 0
+of the reference set (`_reference_set`), so one evaluator pass forms the
+observed statistic by the same rule as every replicate's, in exact and in
+Monte Carlo mode. Extreme counts turn into p-values by one rule
+(`_p_value`), which `perm_lm_p_value` shares. The evaluator splits the rows
 into blocks, with bounds that depend on the problem shape alone, so results
 are bitwise reproducible.
 
@@ -143,14 +145,6 @@ def _streams(r: int, seed):
         yield start, min(start + _STREAM_ROWS, r), rng
 
 
-def _draw_matrix(design: DesignSpec, r: int, seed) -> np.ndarray:
-    """R assignments drawn chunk by chunk, one stream per chunk."""
-    out = np.empty((r, design.n_units), dtype=np.uint8)
-    for start, stop, rng in _streams(r, seed):
-        design.draw_batch(rng, stop - start, out=out[start:stop])
-    return out
-
-
 def _replicate_count(r) -> int:
     return _whole(r, 1, "R (replicates)")
 
@@ -160,25 +154,18 @@ def _check_sided(sided: str):
         raise InvariantViolation(f"sided must be one of {_SIDES}, got {sided!r}")
 
 
-def _reference_set(design: DesignSpec, r, seed, exact: bool) -> np.ndarray:
-    """The whole assignment space, or `r` draws from the stream of `seed`."""
+def _reference_set(design: DesignSpec, z: np.ndarray, r, seed, exact: bool) -> np.ndarray:
+    """The observed assignment `z` as row 0, then the reference rows: the
+    whole assignment space, or `r` draws from the stream of `seed`, drawn
+    chunk by chunk in place."""
     if exact:
-        return exhaustive_assignments(design)
-    return _draw_matrix(design, _replicate_count(r), seed)
-
-
-def _observed(vals: np.ndarray, zmat: np.ndarray, z: np.ndarray, exact: bool, evaluate):
-    """The one row of values at the observed assignment `z`.
-
-    Exact mode reads it off the enumerated observed row of `vals`, so the
-    observed assignment ties with itself bit for bit; otherwise, or when the
-    reference set lacks it, it is `evaluate(z[None, :])`.
-    """
-    if exact:
-        hits = np.flatnonzero((zmat == z.astype(zmat.dtype)).all(axis=1))
-        if hits.size:
-            return vals[hits[0] : hits[0] + 1]
-    return evaluate(z[None, :])
+        return np.concatenate([z[None, :].astype(np.uint8), exhaustive_assignments(design)])
+    r = _replicate_count(r)
+    out = np.empty((1 + r, design.n_units), dtype=np.uint8)
+    out[0] = z
+    for start, stop, rng in _streams(r, seed):
+        design.draw_batch(rng, stop - start, out=out[1 + start : 1 + stop])
+    return out
 
 
 def _p_value(extreme, m: int, exact: bool):
@@ -206,9 +193,8 @@ def _frt(data, specs, design, r, seed, exact, sided):
     _check_sided(sided)
     adata, adesign = design.analysis_form(data)
     evaluator = make_evaluator(adata.y, adata.x, adesign.strata)
-    zmat = _reference_set(adesign, r, seed, exact)
-    vals = stat_matrix(evaluator, zmat, specs)
-    t_obs = _observed(vals, zmat, adata.z, exact, lambda z: stat_matrix(evaluator, z, specs))[0]
+    vals = stat_matrix(evaluator, _reference_set(adesign, adata.z, r, seed, exact), specs)
+    t_obs, vals = vals[0], vals[1:]
     return t_obs, vals, _p_value(_count_extreme(vals, t_obs, sided), vals.shape[0], exact)
 
 
@@ -420,9 +406,9 @@ def invert_ci(
     replicate's estimate is linear in c and each squared SE quadratic in c;
     interpolating those three evaluations gives the statistic at every grid
     point in O(R). One evaluator holds the three shifted outcomes, so the
-    reference set is read in one pass, and the observed row in one more,
-    whatever the grid size. The result carries the p-value of every grid
-    point and flags an accepted region that reaches either grid edge.
+    reference set is read in one pass, observed row first, whatever the grid
+    size. The result carries the p-value of every grid point and flags an
+    accepted region that reaches either grid edge.
 
     Each bisection scores only the observed row and the replicates that can
     change their extreme status in its bracket. The same interpolation
@@ -452,24 +438,17 @@ def invert_ci(
     points = np.linspace(lo, hi, num)
     step = (hi - lo) / (num - 1)
 
-    zmat = _reference_set(adesign, r, seed, exact)
-    m = zmat.shape[0]
+    zmat = _reference_set(adesign, adata.z, r, seed, exact)
+    m = zmat.shape[0] - 1
 
     z_form = design.analysis_form(replace(data, y=data.z.astype(np.float64)))[0].y
     nodes = (lo, lo + (hi - lo) / 2, hi)
     outcomes = np.stack([adata.y - c * z_form for c in nodes])
-    evaluator = make_evaluator(outcomes, adata.x, adesign.strata)
-
-    def node_values(rows):
-        # per row: tau at lo and hi, then the squared SE at lo, mid and hi
-        se2 = 2 if spec.studentization == "robust" else 1  # row of the triple
-        at = evaluator.triples(rows, spec.adjustment)  # (node, triple, row)
-        return np.column_stack([at[0, 0], at[2, 0], *at[:, se2]])
-
-    vals = node_values(zmat)
-    obs = _observed(vals, zmat, adata.z, exact, node_values)
-
-    rows = np.concatenate([obs, vals])  # the observed row first
+    at = make_evaluator(outcomes, adata.x, adesign.strata).triples(zmat, spec.adjustment)
+    # per row, the observed one first: tau at lo and hi, then the squared SE
+    # at lo, mid and hi (`at` is (node, triple, row))
+    se2 = 2 if spec.studentization == "robust" else 1  # row of the triple
+    rows = np.column_stack([at[0, 0], at[2, 0], *at[:, se2]])
 
     def p_at(shifts, rows=rows, settled=0):
         t = _stat_at_shift(rows, nodes, shifts, spec.studentization)

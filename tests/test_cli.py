@@ -3,14 +3,17 @@
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import randtest
 from randtest import Dataset, ParseError, RandtestError
 from randtest.cli import json_bytes, load_csv, main
 
@@ -136,6 +139,16 @@ def test_load_csv_missing_cell(tmp_path):
     with pytest.raises(ParseError) as err:
         load_csv(str(path))
     assert err.value.row == 3 and err.value.column == "x1"
+
+
+@pytest.mark.parametrize("row", ["1.0,1,0.5,99", "1.0,1,0.5,"])
+def test_load_csv_rejects_a_row_wider_than_the_header(row, tmp_path):
+    # a surplus cell, or a trailing comma, is named before any bad cell
+    path = tmp_path / "wide.csv"
+    path.write_text(f"y,z,x1\n1.0,1,0.5\noops,1,0.2\n{row}\n0.5,0,0.1\n0.1,0,0.2\n")
+    with pytest.raises(ParseError, match="^more cells than the 3 header columns$") as err:
+        load_csv(str(path))
+    assert err.value.row == 4 and err.value.column == ""
 
 
 @pytest.mark.parametrize("column", ["stratum", "cluster"])
@@ -587,12 +600,25 @@ def test_json_bytes_nonfinite_policy():
         json_bytes({"bad": object()})
 
 
+def _run_module(*argv):
+    """`python -m randtest *argv` with this source tree first on PYTHONPATH."""
+    paths = [str(Path(randtest.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    cmd = [sys.executable, "-m", "randtest", *argv]
+    return subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+
+
 def test_module_entry_point(csv8):
-    proc = subprocess.run(
-        [sys.executable, "-m", "randtest", "analyze", csv8, "--reps", "19"],
-        capture_output=True,
-    )
+    proc = _run_module("analyze", csv8, "--reps", "20")
     assert proc.returncode == 0
-    report = json.loads(proc.stdout)
-    assert report["command"] == "analyze"
-    assert proc.stdout.endswith(b"\n")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and proc.stdout.endswith(b"\n")
+    assert json.loads(lines[0])["command"] == "analyze"
+
+
+def test_module_entry_point_reports_a_missing_file(tmp_path):
+    proc = _run_module("analyze", str(tmp_path / "missing.csv"))
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "FileNotFoundError"

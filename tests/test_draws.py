@@ -46,10 +46,15 @@ KINDS = ("complete", "cluster", "stratified", "rem")
 
 
 def _draw_matrix(design, r, seed):
+    """The `r` drawn rows of the engine's reference set, which holds the
+    observed assignment (here all zeros) as row 0."""
     # the engine draws a cluster design's reference set over its clusters
     if isinstance(design, ClusterDesign):
         design = CompleteDesign(design.n_clusters, design.n_treated_clusters)
-    return engine._draw_matrix(design, r, seed)
+    z = np.zeros(design.n_units, dtype=np.int64)
+    zmat = engine._reference_set(design, z, r, seed, False)
+    assert zmat.shape == (r + 1, design.n_units) and not zmat[0].any()
+    return zmat[1:]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -64,8 +69,8 @@ def test_prefix_property_across_chunks(kind, monkeypatch):
 
 def test_prefix_property_at_default_chunk_size():
     design = _design("stratified")
-    short = engine._draw_matrix(design, 700, seed=8)
-    long = engine._draw_matrix(design, 2100, seed=8)
+    short = _draw_matrix(design, 700, seed=8)
+    long = _draw_matrix(design, 2100, seed=8)
     np.testing.assert_array_equal(long[:700], short)
 
 
@@ -80,8 +85,8 @@ def test_permutation_prefix_property(monkeypatch):
 def test_seed_and_chunk_select_the_stream(monkeypatch):
     monkeypatch.setattr(engine, "_STREAM_ROWS", 16)
     design = _design("complete")
-    a = engine._draw_matrix(design, 32, seed=1)
-    b = engine._draw_matrix(design, 32, seed=2)
+    a = _draw_matrix(design, 32, seed=1)
+    b = _draw_matrix(design, 32, seed=2)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a[:16], a[16:])
 
@@ -178,7 +183,7 @@ def test_cluster_batches_assign_clusters():
 def test_each_unit_treated_at_its_design_rate(kind):
     design = _design(kind)
     r = 6000
-    zmat = engine._draw_matrix(design, r, seed=7)
+    zmat = _draw_matrix(design, r, seed=7)
     if kind == "complete":
         rate = np.full(28, design.n_treated / design.n_units)
     else:

@@ -213,6 +213,51 @@ def test_frt_p_values_matches_single_calls(kind, small_blocks):
         assert p[i] == single.p_value
 
 
+def _count_passes(monkeypatch):
+    """The row count of each pass that an engine-built evaluator makes over
+    a reference set, one entry per `triples_each` call."""
+    passes, build = [], engine.make_evaluator
+
+    def make_evaluator(*args):
+        evaluator = build(*args)
+        read = evaluator.triples_each
+
+        def triples_each(zmat, adjustments):
+            passes.append(zmat.shape[0])
+            return read(zmat, adjustments)
+
+        evaluator.triples_each = triples_each
+        return evaluator
+
+    monkeypatch.setattr(engine, "make_evaluator", make_evaluator)
+    return passes
+
+
+@pytest.mark.parametrize("kind", ["complete", "cluster", "stratified", "rem"])
+def test_one_evaluator_pass_per_monte_carlo_test(kind, monkeypatch):
+    # the observed assignment is row 0 of the reference set: R + 1 rows, one pass
+    data, design = _design_case(kind)
+    passes = _count_passes(monkeypatch)
+    frt_p_value(data, N_ROBUST, design, r=50, seed=1)
+    frt_p_values(data, list(ALL_SPECS), design, r=60, seed=1)
+    invert_ci(data, N_ROBUST, 0.05, design, r=70, seed=1)
+    assert passes == [51, 61, 71]
+
+
+@pytest.mark.parametrize("kind", ["complete", "rem"])
+def test_one_evaluator_pass_per_exact_test(kind, monkeypatch):
+    data = random_dataset(263, n=10, j=1)
+    design = CompleteDesign(10, 5)
+    if kind == "rem":
+        design = RerandomizedDesign(design, chi2_quantile(0.9, 1), data.x)
+    rows = 1 + exhaustive_assignments(design).shape[0]
+    passes = _count_passes(monkeypatch)
+    res = frt_p_value(data, N_ROBUST, design, exact=True)
+    invert_ci(data, N_ROBUST, 0.05, design, exact=True)
+    assert passes == [rows, rows]
+    assert res.replicates.shape == (rows - 1,)
+
+
 def test_mc_super_uniformity_by_enumeration():
     # add-one validity computed exactly: each of the 70 assignments plays
     # "observed" with probability 1/70 and its Monte Carlo extreme count is
@@ -333,6 +378,20 @@ def test_invert_ci_warns_on_unstudentized_spec():
     data = random_dataset(293, n=20, j=1)
     with pytest.warns(UserWarning):
         invert_ci(data, N_NONE, 0.05, CompleteDesign(20, 10), r=50, seed=0)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_invert_ci_zero_se_needs_an_explicit_grid(exact):
+    # y = 2z has a zero robust SE: the default grid, built around the Wald
+    # interval, re-raises ZeroSe; an explicit grid accepts only the shift 2
+    z = np.repeat([1, 0], 4)
+    data = Dataset(2.0 * z, z, np.arange(8.0)[:, None])
+    design = CompleteDesign(8, 4)
+    with pytest.raises(ZeroSe):
+        invert_ci(data, N_ROBUST, 0.05, design, r=99, seed=1, exact=exact)
+    res = invert_ci(data, N_ROBUST, 0.05, design, r=99, seed=1, exact=exact, grid=(0, 4, 9))
+    assert [res.lower, res.upper] == [2.0, 2.0]
+    assert math.isnan(res.wald_init[0]) and math.isnan(res.wald_init[1])
 
 
 def test_invert_ci_empty_region():

@@ -499,14 +499,13 @@ def _node_problem(name):
     z_form = design.analysis_form(replace(data, y=data.z.astype(np.float64)))[0].y
     lo, hi, _ = _grid(data, design)
     ys = np.stack([adata.y - c * z_form for c in (lo, lo + (hi - lo) / 2, hi)])
-    zmat = engine._reference_set(adesign, r, 17, exact)
+    zmat = engine._reference_set(adesign, adata.z, r, 17, exact)
     return adata, adesign, ys, zmat
 
 
 @pytest.mark.parametrize("name", [*CASES, "nan-replicates"])
 def test_one_pass_node_triples_match_single_outcome_evaluators(name):
-    adata, adesign, ys, zmat = _node_problem(name)
-    rows = np.concatenate([zmat, adata.z[None, :].astype(np.uint8)])
+    adata, adesign, ys, rows = _node_problem(name)
     adjustments = "nrfl" if adata.j else "nr"
     one_pass = _batch.make_evaluator(ys, adata.x, adesign.strata).triples_each(rows, adjustments)
     refit = estimate if adesign.strata is None else engine.estimate_stratified
@@ -519,7 +518,8 @@ def test_one_pass_node_triples_match_single_outcome_evaluators(name):
             scale = np.abs(want[0]) + np.sqrt(np.abs(want[2]))
             assert np.nanmax(np.abs(got[0] - want[0]) / scale) <= 1e-12, adjustment
             assert np.nanmax(np.abs(got[1:] - want[1:]) / np.abs(want[1:])) <= 1e-12, adjustment
-            # the refits on the node's outcome, for the first rows and the observed one
+            # the refits on the node's outcome, for the observed row (row 0),
+            # the next two and the last
             for i in [0, 1, 2, rows.shape[0] - 1]:
                 if np.isnan(got[0, i]):  # a singular arm, which the refit rejects
                     continue
@@ -564,8 +564,8 @@ def test_one_pass_interval_matches_single_outcome_evaluators(name, sided, monkey
 
 @pytest.mark.parametrize("name", ["complete-half", "stratified", "cluster-unequal", "exact-half"])
 def test_invert_ci_reads_the_reference_set_once(name, monkeypatch, small_blocks):
-    # one evaluator build, one pass over the reference rows that casts each
-    # block to float64 once, and in Monte Carlo mode one observed-row call
+    # one evaluator build and one pass over the reference rows, observed row
+    # first, that casts each block to float64 once
     small_blocks(400)  # several blocks per pass
     data, design, r, exact = _case(name)
     builds, passes, blocks = [], [], []
@@ -592,11 +592,10 @@ def test_invert_ci_reads_the_reference_set_once(name, monkeypatch, small_blocks)
     invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
 
     adata, adesign = design.analysis_form(data)
-    rows = engine._reference_set(adesign, r, 17, exact)
-    if not exact:
-        rows = np.concatenate([rows, adata.z[None, :].astype(np.uint8)])
+    rows = engine._reference_set(adesign, adata.z, r, 17, exact)
+    np.testing.assert_array_equal(rows[0], adata.z)
     assert len(builds) == 1
-    assert passes == ([rows.shape] if exact else [(r, adata.n), (1, adata.n)])
+    assert passes == [(1 + (adesign.count() if exact else r), adata.n)]
     evaluator = builds[0]
     parts = getattr(evaluator, "parts", [evaluator])
     columns = getattr(evaluator, "columns", [slice(None)])
