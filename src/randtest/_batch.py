@@ -25,6 +25,16 @@ F's columns, in the order one outcome has, and each further outcome appends
 only the columns that carry its e, so the u-only sums (G and z'(I-H)z) are
 shared, and `l` solves each row's Gram systems once for every outcome's
 right-hand side. With one outcome F and the blocks are as they would be alone.
+
+Stratified data are scored in grouped passes; a complete design is the
+one-stratum case. Each stratum keeps its own blocks of rows, sized by its N_k
+and J alone, and forms its own product `F_k' z_k'` per block, so its moments
+are those it would have alone. The blocks of a group of consecutive strata
+are then stacked side by side, each column carrying its stratum's constants
+(N_k, N_k1, sums, weight), and every later step runs once per group: the
+two-group sums, the Gram solves, the HC0 forms and the weighted combine.
+A group grows while its stacked width fits a cache-sized budget, and the
+weighted triples are summed in stratum order.
 """
 
 from __future__ import annotations
@@ -92,6 +102,8 @@ def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # Elements of f's and l's widest temporary per block of rows: cache-sized.
 _MOMENT_ELEMENTS = 1 << 17
+# Elements of the widest temporary of one pass over a group of strata.
+_PASS_ELEMENTS = 1 << 18
 # Reference-set entries per block of rows, bounding the block's float64 copy.
 _ROW_ELEMENTS = 4_000_000
 # An HC0 form whose terms exceed its value by this factor is summed over units.
@@ -128,157 +140,246 @@ def _moment_layout(j: int):
 
 
 class _Outcome:
-    """One outcome's assignment-free sums, and with covariates its residual e
-    on (1, X), v = (u, e) and where its columns of F sit in the product."""
+    """One outcome's assignment-free sums over a stratum's units, and with
+    covariates its residual e on (1, X) and v = (u, e)."""
 
     def __init__(self, yc: np.ndarray):
         self.yc, self.yc2 = yc, yc * yc
         self.sum_y2 = float(self.yc2.sum())
 
-    def fit(self, q: np.ndarray, e: np.ndarray, quad_cols, e_cols, diag_cols):
+    def fit(self, q: np.ndarray, e: np.ndarray):
         n = e.size
         self.e, self.e2 = e, e * e
         self.sum_e2 = float(self.e2.sum())
         self.v = np.column_stack([np.ones(n), np.sqrt(n) * q, e])
-        self.quad_cols, self.e_cols, self.diag_cols = quad_cols, e_cols, diag_cols
 
 
-class CompleteEvaluator:
-    """All twelve statistics over assignment batches, complete randomization.
+class _Stratum:
+    """One stratum: its units (`columns` of an assignment row), its share
+    `weight` of all units and its outcomes' sums over its own units."""
 
-    `y` is one outcome (N,) or K outcomes (K, N) that share X; each block of
-    rows then serves all K, and every triple gains a leading axis of K."""
-
-    def __init__(self, y: np.ndarray, x: np.ndarray):
-        y = np.asarray(y, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or y.ndim not in (1, 2) or x.shape[0] != y.shape[-1]:
-            raise DimensionMismatch("y and x must share their units")
-        self.shape = y.shape[:-1]
-        self.n = n = x.shape[0]
-        self.j = j = x.shape[1]
+    def __init__(self, ys: np.ndarray, x: np.ndarray, columns, weight: float):
+        self.columns, self.n, self.j, self.weight = columns, x.shape[0], x.shape[1], weight
         # Center once: means drop out of every estimator, variances gain accuracy.
-        ycs = [row - row.mean() for row in y.reshape(-1, n)]
+        ycs = [row - row.mean() for row in ys]
         self.outcomes = [_Outcome(yc) for yc in ycs]
-        if j < 1:
-            return
-        q, *es = _centered_qr(x, *ycs)
-        (self.pairs, self.quads, self.half, self.qmult, self.terms, self.quad_cols,
-         self.gram_cols, e_cols, diag_cols, self.e_terms) = _moment_layout(j)
-        # outcome 0 owns all of F's columns; each further one appends its own
-        # e-bearing columns and shares the u-only ones (G and z'(I-H)z)
-        tables = self.quad_cols, e_cols, diag_cols
-        width, extra = self.terms.shape[0], self.e_terms.size
-        for i, (outcome, e) in enumerate(zip(self.outcomes, es)):
-            if i:
-                cols = np.arange(width)
-                cols[self.e_terms] = width + (i - 1) * extra + np.arange(extra)
-                tables = [cols[t] for t in (self.quad_cols, e_cols, diag_cols)]
-            outcome.fit(q, e, *tables)
+        if self.j:
+            q, *es = _centered_qr(x, *ycs)
+            for outcome, e in zip(self.outcomes, es):
+                outcome.fit(q, e)
 
     @functools.cached_property
     def _f(self):
-        """F and its column totals, built on the first f or l evaluation."""
+        """F and its column totals, built on the first f or l evaluation:
+        outcome 0 owns all of F's columns, and each further one appends its
+        own e-bearing columns and shares the u-only ones (G and z'(I-H)z)."""
+        *_, terms, _, _, _, _, e_terms = _moment_layout(self.j)
         first, *rest = self.outcomes
-        f_cols = first.v[:, self.terms].prod(axis=2)
+        f_cols = first.v[:, terms].prod(axis=2)
         if rest:
-            terms = self.terms[self.e_terms]
-            f_cols = np.hstack([f_cols] + [o.v[:, terms].prod(axis=2) for o in rest])
+            f_cols = np.hstack([f_cols] + [o.v[:, terms[e_terms]].prod(axis=2) for o in rest])
         return f_cols, f_cols.sum(axis=0)
 
-    # -- difference in means over values fixed across assignments ----------
+    def moments(self, block: np.ndarray) -> np.ndarray:
+        """F's column sums over each row's treated arm."""
+        return self._f[0].T @ block.T
 
-    def _two_group(self, zmat, n1, values, values_sq, total_sq):
-        n = self.n
-        n0 = n - n1
-        s1 = zmat @ values
-        mean1 = s1 / n1
-        mean0 = -s1 / n0  # values are centered: total sum is 0
-        tau = mean1 - mean0
-        ss1 = zmat @ values_sq
-        var1 = np.maximum(ss1 - n1 * mean1**2, 0.0) / (n1 - 1)
-        var0 = np.maximum((total_sq - ss1) - n0 * mean0**2, 0.0) / (n0 - 1)
-        c1 = n * (n1 - 1) / ((n - 2) * n1 * n0)
-        c0 = n * (n0 - 1) / ((n - 2) * n1 * n0)
-        se2_classic = c1 * var1 + c0 * var0
-        se2_robust = (n1 - 1) / n1**2 * var1 + (n0 - 1) / n0**2 * var0
-        return tau, se2_classic, se2_robust
-
-    def _n1(self, zmat) -> int:
+    def n1(self, zmat, least: int) -> int:
+        """The treated count that every row of `zmat` (this stratum's columns)
+        shares; each arm must hold `least` units."""
         sums = zmat.sum(axis=1)
         if sums.size and np.any(sums != sums[0]):
             raise InvalidSizes("assignment rows treat different numbers of units")
         n1 = int(round(float(sums[0]))) if sums.size else 0
         if n1 < 2 or self.n - n1 < 2:
             raise DegenerateArm(f"each arm needs >= 2 units, got N1={n1}")
+        if n1 < least or self.n - n1 < least:
+            raise DegenerateArm(f"interacted fit needs >= {least} units per arm")
         return n1
 
-    # -- per-adjustment triples (tau, classic se^2, robust se^2) per outcome --
 
-    def triples_n(self, zmat, n1, mom):
-        return [self._two_group(zmat, n1, o.yc, o.yc2, o.sum_y2) for o in self.outcomes]
+class _Pass:
+    """One block of rows of a group of strata, scored at once: the strata's
+    columns side by side, stratum i's rows at [i * rows, (i + 1) * rows).
+    Each column carries its stratum's constants from `table` (see
+    `StratifiedEvaluator._constants`); `mom` holds F's sums over the treated
+    arms, then over the control arms."""
 
-    def triples_r(self, zmat, n1, mom):
-        return [self._two_group(zmat, n1, o.e, o.e2, o.sum_e2) for o in self.outcomes]
+    def __init__(self, ev, parts, table, blocks, adjustments):
+        self.parts, self.blocks = parts, blocks
+        self.rows = rows = len(blocks[0])
+        self.cols = rows * len(parts)
+        consts = np.repeat(table, rows, axis=1)
+        self.n, self.arms, self.weights = consts[0], consts[1:7], consts[7:10]
+        self.n1, self.sum_y2, self.sum_e2 = consts[1], consts[10 : 10 + ev.k], consts[10 + ev.k :]
+        self.sums = {a: np.empty((2, ev.k, self.cols)) for a in "nr" if a in adjustments}
+        wide = {"f", "l"} & set(adjustments)
+        if wide:
+            self.mom = np.empty((ev.width, 2 * self.cols))
+        # one float64 cast of each stratum's block serves every adjustment
+        for i, (part, block) in enumerate(zip(parts, blocks)):
+            block = np.asarray(block, dtype=np.float64)
+            at = slice(i * rows, (i + 1) * rows)
+            for a, sums in self.sums.items():
+                for k, o in enumerate(part.outcomes):
+                    values, squares = (o.yc, o.yc2) if a == "n" else (o.e, o.e2)
+                    sums[0, k, at], sums[1, k, at] = block @ values, block @ squares
+            if wide:
+                treated = part.moments(block)
+                self.mom[:, at] = treated
+                control = slice(self.cols + at.start, self.cols + at.stop)
+                self.mom[:, control] = part._f[1][:, None] - treated
 
-    def _moments(self, zmat):
-        """F's column sums over each row's treated arm, then over its control arm."""
-        f_cols, f_total = self._f
-        treated = f_cols.T @ zmat.T
-        return np.concatenate([treated, f_total[:, None] - treated], axis=1)
 
-    def _hc0_sums(self, outcome, zmat, mom, a, b):
-        """Per row of `zmat`, the sum over both arms of ((a'v)(b'v))^2: `a` and
-        `b` hold coefficients on the outcome's v per column of `mom`, never
-        both on e."""
-        (i, j), (p, r) = self.pairs, self.quads
-        s = (a[i] * b[j] + a[j] * b[i]) * self.half
-        out = np.einsum("ij,ij->j", s[p] * s[r] * self.qmult, mom[outcome.quad_cols])
+def _two_group(s1, ss1, total_sq, arms):
+    """(K, 3, C) difference-in-means triples from each column's treated sums
+    of the values and of their squares; `arms` as in `_Pass`: per column
+    N_k1, N_k0 and the classic and robust weights of the arms' variances."""
+    n1, n0, c1, c0, r1, r0 = arms
+    mean1 = s1 / n1
+    mean0 = -s1 / n0  # values are centered: total sum is 0
+    tau = mean1 - mean0
+    var1 = np.maximum(ss1 - n1 * mean1**2, 0.0) / (n1 - 1)
+    var0 = np.maximum((total_sq - ss1) - n0 * mean0**2, 0.0) / (n0 - 1)
+    se2_classic = c1 * var1 + c0 * var0
+    se2_robust = r1 * var1 + r0 * var0
+    return np.stack([tau, se2_classic, se2_robust], axis=1)
+
+
+class StratifiedEvaluator:
+    """Size-weighted per-stratum statistics over assignment batches.
+
+    `y` is one outcome (N,) or K outcomes (K, N) that share X and the strata;
+    each block of rows then serves all K, and every triple gains a leading
+    axis of K."""
+
+    def __init__(self, y: np.ndarray, x: np.ndarray, strata: np.ndarray):
+        y = np.asarray(y, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        strata = np.asarray(strata, dtype=np.int64)
+        if y.shape[-1:] != strata.shape:
+            raise DimensionMismatch("y and strata must share their units")
+        if x.ndim != 2 or y.ndim not in (1, 2) or x.shape[0] != y.shape[-1]:
+            raise DimensionMismatch("y and x must share their units")
+        self.shape, self.n, self.j = y.shape[:-1], y.shape[-1], x.shape[1]
+        ys = y.reshape(-1, self.n)
+        self.k = len(ys)
+        self.parts = []
+        for k in range(int(strata.max()) + 1):
+            idx = np.nonzero(strata == k)[0]
+            # a stratum of consecutive units is read through a view, not a copy
+            cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < idx.size else idx
+            self.parts.append(_Stratum(ys[:, idx], x[idx], cols, idx.size / self.n))
+        if self.j < 1:
+            return
+        (self.pairs, self.quads, self.half, self.qmult, terms, quad_cols, self.gram_cols,
+         e_cols, diag_cols, e_terms) = _moment_layout(self.j)
+        # where each outcome's columns of F sit: outcome 0 owns all of them,
+        # each further one appends its e-bearing columns
+        width, extra = terms.shape[0], e_terms.size
+        self.width = width + (self.k - 1) * extra
+        self.tables = [(quad_cols, e_cols, diag_cols)]
+        for i in range(1, self.k):
+            cols = np.arange(width)
+            cols[e_terms] = width + (i - 1) * extra + np.arange(extra)
+            self.tables.append(tuple(cols[t] for t in (quad_cols, e_cols, diag_cols)))
+
+    def _constants(self, parts, n1s) -> np.ndarray:
+        """One column per stratum of a group: N_k; N_k1, N_k0 and the classic
+        and robust weights of the arms' variances in the difference in
+        means' se^2, as in `estimators`; the weights w, w^2 and w^2 of its
+        triples; per outcome the sum of y^2, then per outcome that of e^2."""
+        table = []
+        for part, n1 in zip(parts, n1s):
+            n, n0, w = part.n, part.n - n1, part.weight
+            table.append([n, n1, n0, n * (n1 - 1) / ((n - 2) * n1 * n0),
+                          n * (n0 - 1) / ((n - 2) * n1 * n0), (n1 - 1) / n1**2, (n0 - 1) / n0**2,
+                          w, w**2, w**2, *(o.sum_y2 for o in part.outcomes),
+                          *(o.sum_e2 for o in part.outcomes if self.j)])
+        return np.array(table, dtype=np.float64).T
+
+    def _groups(self, rows: int):
+        """(strata, block rows) per group of consecutive strata that share
+        their row blocks and whose stacked pass fits _PASS_ELEMENTS.
+
+        A stratum's row blocks, and with them its replicates' last bits,
+        depend on its N_k and J alone."""
+        per_row = 2 * self.quads.shape[1] if self.j else 1
+        groups = []
+        for part in self.parts:
+            step = _ROW_ELEMENTS // part.n
+            if self.j:
+                step = min(step, _MOMENT_ELEMENTS // per_row)
+            step = max(1, min(step, rows))
+            group, shared = groups[-1] if groups else ([], None)
+            if shared == step and (len(group) + 1) * step * per_row <= _PASS_ELEMENTS:
+                group.append(part)
+            else:
+                groups.append(([part], step))
+        return groups
+
+    # -- per-adjustment (K, 3, C) triples (tau, classic se^2, robust se^2) --
+
+    def triples_n(self, p: _Pass):
+        return _two_group(*p.sums["n"], p.sum_y2, p.arms)
+
+    def triples_r(self, p: _Pass):
+        return _two_group(*p.sums["r"], p.sum_e2, p.arms)
+
+    def _hc0_sums(self, p: _Pass, i: int, a, b):
+        """Per column of the pass, the sum over both arms of ((a'v)(b'v))^2
+        for outcome i: `a` and `b` hold coefficients on v per column of
+        `p.mom`, never both on e."""
+        quad_cols, _, diag_cols = self.tables[i]
+        (i0, j0), (q0, q1) = self.pairs, self.quads
+        s = (a[i0] * b[j0] + a[j0] * b[i0]) * self.half
+        out = np.einsum("ij,ij->j", s[q0] * s[q1] * self.qmult, p.mom[quad_cols])
         # against a Cauchy-Schwarz bound on the squared sum of |s_p v_p|
-        bound = np.einsum("ij,ij->j", np.abs(s), np.sqrt(np.abs(mom[outcome.diag_cols]))) ** 2
-        bad, rows, v = np.flatnonzero(bound > _CANCEL * out), zmat.shape[0], outcome.v
-        arm = np.abs(zmat[bad % rows] - (bad >= rows)[:, None])
-        out[bad] = (arm * ((a[:, bad].T @ v.T) * (b[:, bad].T @ v.T)) ** 2).sum(axis=1)
-        return out[:rows] + out[rows:]
+        bound = np.einsum("ij,ij->j", np.abs(s), np.sqrt(np.abs(p.mom[diag_cols]))) ** 2
+        bad = np.flatnonzero(bound > _CANCEL * out)
+        # a cancelled column sums over its own stratum's units in its arm
+        stratum, row = np.divmod(bad % p.cols, p.rows)
+        for k in np.unique(stratum):
+            cols, v = bad[stratum == k], p.parts[k].outcomes[i].v
+            block = np.asarray(p.blocks[k][row[stratum == k]], dtype=np.float64)
+            arm = np.abs(block - (cols >= p.cols)[:, None])
+            out[cols] = (arm * ((a[:, cols].T @ v.T) * (b[:, cols].T @ v.T)) ** 2).sum(axis=1)
+        return out[: p.cols] + out[p.cols :]
 
-    def triples_f(self, zmat, n1, mom):
-        n, j, b = self.n, self.j, zmat.shape[0]
+    def triples_f(self, p: _Pass):
+        n, n1, j, c, mom = p.n, p.n1, self.j, p.cols, p.mom
         p1 = n1 / n
-        g = mom[self.gram_cols[1 : j + 1], :b] / n  # Hz = u'g
+        g = mom[self.gram_cols[1 : j + 1], :c] / n  # Hz = u'g
         z_ih_z = n * (p1 * (1 - p1) - np.einsum("ij,ij->j", g, g))
-        arm, g2 = np.repeat([1 - p1, -p1], b), np.hstack([g, g])
-        delta = np.vstack([arm, -g2, np.zeros(2 * b)])
-        out = []
+        arm, g2 = np.concatenate([1 - p1, -p1]), np.hstack([g, g])
+        delta = np.vstack([arm, -g2, np.zeros(2 * c)])
+        out = np.empty((self.k, 3, c))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for o in self.outcomes:
-                tau = mom[o.e_cols[0], :b] / z_ih_z
-                se2_classic = np.maximum(o.sum_e2 / z_ih_z - tau**2, 0.0) / (n - 2 - j)
+            for i, (_, e_cols, _) in enumerate(self.tables):
+                tau = mom[e_cols[0], :c] / z_ih_z
+                se2_classic = np.maximum(p.sum_e2[i] / z_ih_z - tau**2, 0.0) / (n - 2 - j)
                 tau2 = np.hstack([tau, tau])
-                eta = np.vstack([-tau2 * arm, tau2 * g2, np.ones(2 * b)])
-                se2_robust = self._hc0_sums(o, zmat, mom, delta, eta) / z_ih_z**2
-                out.append((tau, se2_classic, se2_robust))
+                eta = np.vstack([-tau2 * arm, tau2 * g2, np.ones(2 * c)])
+                out[i] = tau, se2_classic, self._hc0_sums(p, i, delta, eta) / z_ih_z**2
         return out
 
-    def triples_l(self, zmat, n1, mom):
-        n, j, b, k = self.n, self.j, zmat.shape[0], len(self.outcomes)
-        if n1 < j + 2 or n - n1 < j + 2:
-            raise DegenerateArm(f"interacted fit needs >= {j + 2} units per arm")
+    def triples_l(self, p: _Pass):
+        n, j, c, k, mom = p.n, self.j, p.cols, self.k, p.mom
         # one solve of each Gram system G (c_i, w) = (b_i, e0) for all outcomes i
-        rhs = np.zeros((j + 1, k + 1, 2 * b))
-        for i, o in enumerate(self.outcomes):
-            rhs[:, i] = mom[o.e_cols[:-1]]
+        rhs = np.zeros((j + 1, k + 1, 2 * c))
+        for i, (_, e_cols, _) in enumerate(self.tables):
+            rhs[:, i] = mom[e_cols[:-1]]
         rhs[0, k] = 1.0
         sol = _solve_batch(mom[self.gram_cols].reshape(j + 1, j + 1, -1), rhs)
         w = sol[:, k]
-        lever, w0 = np.vstack([w, np.zeros(2 * b)]), w[0, :b] + w[0, b:]
-        out = []
-        for i, o in enumerate(self.outcomes):
-            c = sol[:, i]
-            rss = mom[o.e_cols[-1]] - np.einsum("ij,ij->j", c, rhs[:, i])
-            se2_classic = (rss[:b] + rss[b:]) / (n - 2 - 2 * j) * w0
-            resid = np.vstack([-c, np.ones(2 * b)])
-            se2_robust = self._hc0_sums(o, zmat, mom, resid, lever)
-            out.append((c[0, :b] - c[0, b:], se2_classic, se2_robust))
+        lever, w0 = np.vstack([w, np.zeros(2 * c)]), w[0, :c] + w[0, c:]
+        out = np.empty((k, 3, c))
+        for i, (_, e_cols, _) in enumerate(self.tables):
+            coef = sol[:, i]
+            rss = mom[e_cols[-1]] - np.einsum("ij,ij->j", coef, rhs[:, i])
+            se2_classic = (rss[:c] + rss[c:]) / (n - 2 - 2 * j) * w0
+            resid = np.vstack([-coef, np.ones(2 * c)])
+            out[i] = coef[0, :c] - coef[0, c:], se2_classic, self._hc0_sums(p, i, resid, lever)
         return out
 
     _TRIPLES = {"n": triples_n, "r": triples_r, "f": triples_f, "l": triples_l}
@@ -290,53 +391,37 @@ class CompleteEvaluator:
         """Per adjustment, a (3, B) array of tau, classic se^2 and robust se^2,
         (K, 3, B) for K outcomes.
 
-        The treated count is checked once over all rows. This is the one loop
-        over blocks of assignment rows: each block is cast to float64 once and
-        serves every adjustment and outcome. A replicate's last bits depend on
-        its block, so block bounds depend on N and J alone."""
+        Each stratum's treated count is checked once over all rows. This is
+        the one loop over blocks of assignment rows: each stratum's block is
+        cast to float64 once and serves every adjustment and outcome, and
+        the strata of a group are scored in one pass. The weighted triples
+        are summed in stratum order."""
         if zmat.ndim != 2 or zmat.shape[1] != self.n:
             raise DimensionMismatch(f"zmat must be (B, {self.n})")
         if self.j < 1 and set(adjustments) - {"n"}:
             raise DimensionMismatch("this adjustment needs at least one covariate column")
-        step = _ROW_ELEMENTS // self.n
-        if self.j:
-            step = min(step, _MOMENT_ELEMENTS // (2 * self.quad_cols.size))
-        step, wide = max(1, step), {"f", "l"} & set(adjustments)
-        n1, k = self._n1(zmat), len(self.outcomes)
-        out = {a: np.empty((k, 3, len(zmat))) for a in adjustments}
-        for s in range(0, len(zmat), step):
-            block = np.asarray(zmat[s : s + step], dtype=np.float64)
-            mom = self._moments(block) if wide else None
-            for a, triples in out.items():
-                triples[:, :, s : s + step] = self._TRIPLES[a](self, block, n1, mom)
+        least = self.j + 2 if "l" in adjustments else 2
+        # -0.0 is the identity of +, so a lone stratum's triples pass unchanged
+        out = {a: np.full((self.k, 3, len(zmat)), -0.0) for a in adjustments}
+        for parts, step in self._groups(len(zmat)):
+            cols = [zmat[:, part.columns] for part in parts]
+            table = self._constants(parts, [part.n1(z, least) for part, z in zip(parts, cols)])
+            for s in range(0, len(zmat), step):
+                p = _Pass(self, parts, table, [z[s : s + step] for z in cols], out)
+                for a, triples in out.items():
+                    weighted = self._TRIPLES[a](self, p)
+                    weighted *= p.weights
+                    for i in range(len(parts)):
+                        triples[:, :, s : s + step] += weighted[:, :, i * p.rows : (i + 1) * p.rows]
         return {a: triples.reshape(self.shape + triples.shape[1:]) for a, triples in out.items()}
 
 
-class StratifiedEvaluator:
-    """Size-weighted per-stratum statistics over assignment batches; `y` as
-    in `CompleteEvaluator`."""
+class CompleteEvaluator(StratifiedEvaluator):
+    """All twelve statistics over assignment batches, complete randomization:
+    the one-stratum case."""
 
-    def __init__(self, y: np.ndarray, x: np.ndarray, strata: np.ndarray):
-        y = np.asarray(y, dtype=np.float64)
-        strata = np.asarray(strata, dtype=np.int64)
-        if y.shape[-1:] != strata.shape:
-            raise DimensionMismatch("y and strata must share their units")
-        self.n, self.shape = y.shape[-1], y.shape[:-1]
-        indices = [np.nonzero(strata == k)[0] for k in range(int(strata.max()) + 1)]
-        self.weights = np.array([idx.size / self.n for idx in indices])
-        self.parts = [CompleteEvaluator(y[..., idx], x[idx]) for idx in indices]
-        # a stratum of consecutive units is read through a view, not a copy
-        self.columns = [slice(i[0], i[-1] + 1) if i[-1] - i[0] < i.size else i for i in indices]
-
-    triples = CompleteEvaluator.triples
-
-    def triples_each(self, zmat: np.ndarray, adjustments) -> dict:
-        out = {a: np.zeros(self.shape + (3, len(zmat))) for a in adjustments}
-        for w, cols, part in zip(self.weights, self.columns, self.parts):
-            # one gather of the stratum's uint8 columns serves every adjustment
-            for a, triple in part.triples_each(zmat[:, cols], adjustments).items():
-                out[a] += np.multiply(triple, [[w], [w**2], [w**2]])
-        return out
+    def __init__(self, y: np.ndarray, x: np.ndarray):
+        super().__init__(y, x, np.zeros(np.shape(y)[-1:], dtype=np.int64))
 
 
 def make_evaluator(y, x, strata=None):

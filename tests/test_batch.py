@@ -30,6 +30,7 @@ from randtest import (
     perm_lm_p_value,
     statistic,
 )
+from randtest import _batch
 from randtest._batch import CompleteEvaluator, StratifiedEvaluator, make_evaluator, stat_matrix
 from conftest import gen, random_dataset
 
@@ -130,6 +131,16 @@ def test_degenerate_arm_rejected():
         ev.triples(bad, "n")
 
 
+@pytest.mark.parametrize("strata", [None, np.repeat([0, 1], 10)])
+def test_zmat_of_the_wrong_width_rejected(strata):
+    # 25 columns for 20 units: reading only the strata's columns would drop
+    # the other five silently
+    data = random_dataset(131, n=20, j=1)
+    zmat = _random_zmat(gen(132), 4, 25, 10)
+    with pytest.raises(DimensionMismatch):
+        make_evaluator(data.y, data.x, strata).triples(zmat, "n")
+
+
 def test_triples_values_match_estimate():
     from randtest import estimate
 
@@ -186,6 +197,7 @@ def fuzz_cases(draw):
 
     Every arm of the analysis form has at least J + 2 units, the fewest the
     interacted fit needs; strata go down to exactly that, clusters to size 1.
+    Strata are interleaved, not runs of consecutive units.
     """
     kind = draw(st.sampled_from(["complete", "stratified", "cluster", "rem"]))
     j = draw(st.integers(1, 5))
@@ -194,7 +206,10 @@ def fuzz_cases(draw):
     if kind == "stratified":
         sizes = [(draw(st.integers(2 * j + 4, 2 * j + 8)),) for _ in range(draw(st.integers(1, 3)))]
         sizes = [(n, draw(st.integers(j + 2, n - j - 2))) for (n,) in sizes]
-        strata = np.repeat(np.arange(len(sizes)), [n for n, _ in sizes])
+        strata = rng.permutation(np.repeat(np.arange(len(sizes)), [n for n, _ in sizes]))
+        # recode in order of first appearance, as `Dataset` does
+        first = strata[np.sort(np.unique(strata, return_index=True)[1])]
+        sizes, strata = [sizes[k] for k in first], np.argsort(first)[strata]
         n = strata.size
     else:
         m = draw(st.integers(2 * j + 4, 2 * j + 16))
@@ -323,19 +338,126 @@ def test_f_and_l_peak_memory_stays_below_residual_passes(n, j, rows, peak_mib):
         assert peak < bound * 2**20, (adjustment, peak / 2**20)
 
 
+def _stat_matrix_peak(rng, sizes, interleaved, rows):
+    """(traced peak bytes of all 12 statistics, reference set) on J = 2."""
+    strata = np.repeat(np.arange(len(sizes)), sizes)
+    if interleaved:
+        strata = _interleaved(rng, strata)
+    design = StratifiedDesign(strata, tuple((n, n // 5) for n in np.bincount(strata).tolist()))
+    zmat = design.draw_batch(rng, rows)
+    assert zmat.dtype == np.uint8
+    n = strata.size
+    ev = StratifiedEvaluator(rng.normal(size=n), rng.normal(size=(n, 2)), strata)
+    tracemalloc.start()
+    try:
+        stat_matrix(ev, zmat, list(ALL_SPECS))
+        return tracemalloc.get_traced_memory()[1], zmat
+    finally:
+        tracemalloc.stop()
+
+
 def test_stratified_stat_matrix_never_copies_the_reference_set_to_float64():
     # 40 strata of 50 units, J = 2: uint8 rows are cast to float64 a block at
     # a time, so the peak stays below one float64 copy of the whole set
     rng = gen(151)
-    strata = np.repeat(np.arange(40), 50)
-    design = StratifiedDesign(strata, ((50, 20),) * 40)
-    zmat = design.draw_batch(rng, 2000)
-    assert zmat.dtype == np.uint8
-    ev = StratifiedEvaluator(rng.normal(size=2000), rng.normal(size=(2000, 2)), strata)
-    tracemalloc.start()
-    try:
-        stat_matrix(ev, zmat, list(ALL_SPECS))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, zmat = _stat_matrix_peak(rng, (50,) * 40, False, 2000)
     assert peak < zmat.size * 8, peak / 2**20
+    # the strat-null shape, 3 interleaved strata and R = 500, scored in one
+    # pass: its float64 copy is small, so the bound adds the two widest
+    # temporaries a pass may hold; stacking every stratum's rows with no
+    # budget takes 135 MB at 40 strata of 50
+    peak, zmat = _stat_matrix_peak(rng, (169, 153, 178), True, 500)
+    assert peak < (zmat.size + 2 * _batch._PASS_ELEMENTS) * 8, peak / 2**20
+
+
+def _interleaved(rng, strata):
+    """The units of `strata` shuffled, recoded in order of first appearance."""
+    strata = rng.permutation(strata)
+    first = strata[np.sort(np.unique(strata, return_index=True)[1])]
+    return np.argsort(first)[strata]
+
+
+def _per_stratum_loop(y, x, strata, zmat, adjustments):
+    """The stratified triples as one complete evaluator per stratum, weighted
+    w, w^2, w^2 and summed in stratum order; consecutive units are read
+    through a view, as the evaluator reads them."""
+    out = dict.fromkeys(adjustments, 0.0)
+    for k in range(strata.max() + 1):
+        idx, w = np.flatnonzero(strata == k), np.mean(strata == k)
+        cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < idx.size else idx
+        part = CompleteEvaluator(y[..., idx], x[idx]).triples_each(zmat[:, cols], adjustments)
+        for a in adjustments:
+            out[a] = out[a] + np.multiply(part[a], [[w], [w**2], [w**2]])
+    return out
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+@pytest.mark.parametrize("n_strata", [1, 2, 3, 4])
+def test_grouped_passes_equal_the_per_stratum_loop(n_strata, j, monkeypatch):
+    # bit for bit, at the default blocks and at blocks and passes so small
+    # that strata of different sizes get different row blocks and groups
+    rng = gen(1000 + 10 * n_strata + j)
+    sizes = rng.integers(2 * j + 5, 2 * j + 30, size=n_strata)
+    strata = _interleaved(rng, np.repeat(np.arange(n_strata), sizes))
+    counts = np.bincount(strata).tolist()
+    arms = tuple((c, int(rng.integers(j + 2, c - j - 1))) for c in counts)
+    zmat = StratifiedDesign(strata, arms).draw_batch(rng, 300)
+    x = rng.normal(size=(strata.size, j))
+    adjustments = "nrfl" if j else "n"
+    for k in (1, 3):
+        y = rng.normal(size=(k, strata.size)) * (1 + np.abs(rng.normal(size=strata.size)))
+        y = y[0] if k == 1 else y
+        for row_elements, pass_elements in ((None, None), (2_000, 10_000)):
+            if row_elements:
+                monkeypatch.setattr(_batch, "_ROW_ELEMENTS", row_elements)
+                monkeypatch.setattr(_batch, "_PASS_ELEMENTS", pass_elements)
+            got = StratifiedEvaluator(y, x, strata).triples_each(zmat, adjustments)
+            want = _per_stratum_loop(y, x, strata, zmat, adjustments)
+            for a in adjustments:
+                np.testing.assert_array_equal(got[a], want[a], err_msg=f"{a} K={k}")
+            monkeypatch.undo()
+
+
+def test_strat_null_strata_share_one_pass(monkeypatch):
+    # 3 interleaved strata of 169/153/178 units, 501 rows: one pass scores
+    # all three, for all 12 statistics
+    rng = gen(153)
+    strata = _interleaved(rng, np.repeat(np.arange(3), [169, 153, 178]))
+    design = StratifiedDesign(strata, tuple((n, n // 5) for n in np.bincount(strata).tolist()))
+    zmat = design.draw_batch(rng, 501)
+    ev = StratifiedEvaluator(rng.normal(size=500), rng.normal(size=(500, 2)), strata)
+    passes = []
+
+    class CountedPass(_batch._Pass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            passes.append(self.cols)
+
+    monkeypatch.setattr(_batch, "_Pass", CountedPass)
+    stat_matrix(ev, zmat, list(ALL_SPECS))
+    assert passes == [3 * 501]
+
+
+@pytest.mark.parametrize("kind", ["complete", "stratified", "stratified-3-outcomes"])
+def test_per_unit_hc0_sums_match_the_moment_form(kind, monkeypatch):
+    # with _CANCEL at 0 every row's HC0 form is summed over the units of its
+    # own stratum and arm
+    rng = gen(157)
+    n = 45
+    strata = np.repeat(np.arange(3), [12, 15, 18])
+    strata = None if kind == "complete" else _interleaved(rng, strata)
+    x = rng.normal(size=(n, 2))
+    y = x @ [1.0, -0.5] + rng.normal(size=n) * (1 + np.abs(x[:, 0]))
+    if kind == "stratified-3-outcomes":
+        y = np.stack([y, y - 0.7 * x[:, 1], 2.0 * y])
+    if strata is None:
+        zmat = _random_zmat(rng, 40, n, 20)
+    else:
+        arms = tuple((c, c // 2) for c in np.bincount(strata).tolist())
+        zmat = StratifiedDesign(strata, arms).draw_batch(rng, 40)
+    want = make_evaluator(y, x, strata).triples_each(zmat, "fl")
+    monkeypatch.setattr(_batch, "_CANCEL", 0.0)
+    got = make_evaluator(y, x, strata).triples_each(zmat, "fl")
+    for a in "fl":
+        assert not np.array_equal(got[a], want[a]), a  # the per-unit sums ran
+        np.testing.assert_allclose(got[a], want[a], rtol=1e-10, atol=0, err_msg=a)

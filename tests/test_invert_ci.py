@@ -576,7 +576,7 @@ def test_invert_ci_reads_the_reference_set_once(name, monkeypatch, small_blocks)
         return builds[-1]
 
     kind = _batch.CompleteEvaluator if data.strata is None else _batch.StratifiedEvaluator
-    triples_each, moments = kind.triples_each, _batch.CompleteEvaluator._moments
+    triples_each, moments = kind.triples_each, _batch._Stratum.moments
 
     def counted_triples_each(self, zmat, adjustments):
         passes.append(zmat.shape)
@@ -588,7 +588,7 @@ def test_invert_ci_reads_the_reference_set_once(name, monkeypatch, small_blocks)
 
     monkeypatch.setattr(engine, "make_evaluator", make_evaluator)
     monkeypatch.setattr(kind, "triples_each", counted_triples_each)
-    monkeypatch.setattr(_batch.CompleteEvaluator, "_moments", counted_moments)
+    monkeypatch.setattr(_batch._Stratum, "moments", counted_moments)
     invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
 
     adata, adesign = design.analysis_form(data)
@@ -596,11 +596,9 @@ def test_invert_ci_reads_the_reference_set_once(name, monkeypatch, small_blocks)
     np.testing.assert_array_equal(rows[0], adata.z)
     assert len(builds) == 1
     assert passes == [(1 + (adesign.count() if exact else r), adata.n)]
-    evaluator = builds[0]
-    parts = getattr(evaluator, "parts", [evaluator])
-    columns = getattr(evaluator, "columns", [slice(None)])
-    for part, cols in zip(parts, columns):
+    parts = builds[0].parts
+    for part in parts:
         mine = [block for owner, block in blocks if owner is part]
         assert len(mine) > 2
-        np.testing.assert_array_equal(np.concatenate(mine), rows[:, cols])
+        np.testing.assert_array_equal(np.concatenate(mine), rows[:, part.columns])
     assert {id(owner) for owner, _ in blocks} == {id(part) for part in parts}
