@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.special
 
 from .errors import AcceptanceTimeout, DimensionMismatch, InvalidSizes, InvariantViolation, SingularCovariance
 from .estimators import Dataset, _arm_counts, cluster_collapse
@@ -467,5 +466,14 @@ def draw(design: DesignSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def chi2_cdf(x, k):
-    """Chi-square CDF: regularized lower incomplete gamma P(k/2, x/2)."""
-    return scipy.special.gammainc(np.asarray(k) / 2.0, np.asarray(x) / 2.0)[()]
+    """Chi-square CDF: regularized lower incomplete gamma P(k/2, x/2).
+
+    InvariantViolation unless every x is in [0, inf] and every k is finite
+    and positive.
+    """
+    x, k = np.asarray(x), np.asarray(k)
+    if not (np.all(x >= 0) and np.all((k > 0) & (k < np.inf))):
+        raise InvariantViolation(f"chi2_cdf needs x >= 0 and finite k > 0, got x={x}, k={k}")
+    import scipy.special
+
+    return scipy.special.gammainc(k / 2.0, x / 2.0)[()]

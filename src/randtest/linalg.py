@@ -11,6 +11,10 @@ thread, go through `scipy.linalg`; every solve with a matrix right-hand side
 goes through `numpy.linalg`. numpy and scipy each bundle their own OpenBLAS
 with its own thread pool, and a matrix triangular solve wakes scipy's, whose
 threads then spin against numpy's matrix products on the same cores.
+
+`scipy.linalg` is imported inside `fit_ols`, on its first call: the batch
+evaluators, `simulate` and the default `analyze` never fit a reference
+regression, so they run without loading scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InvariantViolation, RankDeficient
 
@@ -105,6 +108,8 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
         raise DimensionMismatch(f"need more rows than columns, got N={n}, p={p}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvariantViolation("fit_ols requires finite inputs")
+
+    import scipy.linalg
 
     # Fit x / scale, mapped back below.
     scale = column_scale(x)

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy.special
 
 from .designs import (
     CompleteDesign,
@@ -138,7 +137,16 @@ class Population:
 
 
 def chi2_quantile(p: float, k: float) -> float:
-    """Inverse of chi2_cdf in its first argument."""
+    """Inverse of chi2_cdf in its first argument.
+
+    InvariantViolation unless p is in [0, 1] and k is finite and positive.
+    """
+    if not (0 <= p <= 1 and 0 < k < math.inf):
+        raise InvariantViolation(
+            f"chi2_quantile needs 0 <= p <= 1 and finite k > 0, got p={p}, k={k}"
+        )
+    import scipy.special
+
     return float(2.0 * scipy.special.gammaincinv(k / 2.0, p))
 
 
@@ -392,7 +400,9 @@ def _builtins() -> dict[str, ScenarioConfig]:
             # 20 treated vs 130 control: the imbalance inflates the reference
             # variance the unadjusted robust-t imputes, so it over-rejects.
             treated_fraction=0.135,
-            rem_threshold=chi2_quantile(0.05, 1),
+            # chi2_quantile(0.05, 1), the 5% quantile of chi-square(1), written
+            # out so that building the built-ins never loads scipy.
+            rem_threshold=0.003932140000019522,
             reps=1000,
             permutations=300,
             population_seed=301,

@@ -275,3 +275,35 @@ def test_chi2_cdf_values():
     # median quantile round trip
     assert abs(chi2_cdf(chi2_quantile(0.5, 2), 2) - 0.5) < 1e-12
     assert abs(chi2_quantile(0.5, 2) - (-2.0 * math.log(0.5))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (chi2_quantile, (1.5, 1)),
+        (chi2_quantile, (-0.1, 1)),
+        (chi2_quantile, (0.5, 0)),
+        (chi2_quantile, (0.5, -1.0)),
+        (chi2_quantile, (math.nan, 1)),
+        (chi2_quantile, (0.5, math.nan)),
+        (chi2_quantile, (0.5, math.inf)),
+        (chi2_cdf, (-1.0, 1)),
+        (chi2_cdf, (1.0, -2)),
+        (chi2_cdf, (1.0, 0)),
+        (chi2_cdf, (math.nan, 1)),
+        (chi2_cdf, (1.0, math.nan)),
+        (chi2_cdf, (1.0, math.inf)),
+        (chi2_cdf, ([0.5, -0.5], 2)),
+        (chi2_cdf, (0.5, [1, 0])),
+    ],
+)
+def test_chi2_helpers_reject_out_of_domain_input(call, args):
+    with pytest.raises(InvariantViolation):
+        call(*args)
+
+
+def test_chi2_helpers_accept_the_domain_edges():
+    assert chi2_quantile(0.0, 1) == 0.0
+    assert chi2_quantile(1.0, 3) == math.inf
+    assert chi2_cdf(math.inf, 1) == 1.0
+    np.testing.assert_array_equal(chi2_cdf([0.0, math.inf], [2, 5]), [0.0, 1.0])
