@@ -303,12 +303,18 @@ class StratifiedEvaluator:
         their row blocks and whose stacked pass fits _PASS_ELEMENTS.
 
         A stratum's row blocks, and with them its replicates' last bits,
-        depend on its N_k and J alone."""
-        per_row = 2 * self.quads.shape[1] if self.j else 1
+        depend on its N_k, J and K alone. The widest temporary per row counts
+        every outcome: with covariates F's sums over both arms (2 * width,
+        which grows with K) or one outcome's HC0 pair products (2 * quads,
+        the wider at K = 1); without, the (K, 3) triples. One outcome's
+        triples are narrower than the block's float64 copy (N_k >= 4 per
+        row), which _ROW_ELEMENTS bounds, so they meet _MOMENT_ELEMENTS only
+        from K = 2."""
+        per_row = 2 * max(self.quads.shape[1], self.width) if self.j else 3 * self.k
         groups = []
         for part in self.parts:
             step = _ROW_ELEMENTS // part.n
-            if self.j:
+            if self.j or self.k > 1:
                 step = min(step, _MOMENT_ELEMENTS // per_row)
             step = max(1, min(step, rows))
             group, shared = groups[-1] if groups else ([], None)

@@ -89,16 +89,45 @@ def json_bytes(obj) -> bytes:
 # -- input files ----------------------------------------------------------------
 
 
-def _read_utf8(path: str, what: str) -> str:
+def _read_utf8(path: str, what: str, csv_rows: bool = False) -> str:
     """The file's text without a leading byte-order mark; a byte sequence
-    that is not UTF-8 is a ParseError on its line."""
+    that is not UTF-8 is a ParseError on its row. Rows end at LF, as json
+    numbers lines, and with `csv_rows` also at a lone CR, as csv.reader
+    ends them."""
     with open(path, "rb") as fh:
         raw = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         row = raw.count(b"\n", 0, exc.start) + 1
+        if csv_rows:
+            row += raw.count(b"\r", 0, exc.start) - raw.count(b"\r\n", 0, exc.start)
         raise ParseError(f"{what}: not UTF-8 ({exc.reason})", row=row, column="") from None
+
+
+_LABELS = ("stratum", "cluster")
+
+
+def _columns(header: list[str]) -> tuple[dict[str, int], list[str]]:
+    """Each column's position and the covariate names x1..xJ of a stripped
+    header row; a ParseError for a header load_csv refuses."""
+    index = {name: i for i, name in enumerate(header)}
+    if len(index) != len(header):
+        raise ParseError("duplicate column names in header", row=1, column="")
+    for required in ("y", "z"):
+        if required not in index:
+            raise ParseError(f"missing required column {required!r}", row=1, column=required)
+    x_names = sorted((n for n in index if n.startswith("x")), key=lambda n: (len(n), n))
+    expected = [f"x{k}" for k in range(1, len(x_names) + 1)]
+    if x_names != expected:
+        raise ParseError(
+            f"covariate columns must be x1..xJ contiguous, got {x_names}", row=1, column=""
+        )
+    known = {"y", "z", *_LABELS, *expected}
+    unknown = [n for n in header if n not in known]
+    if unknown:
+        raise ParseError(f"unrecognized columns {unknown}", row=1, column=unknown[0])
+    return index, expected
 
 
 def load_csv(path: str) -> Dataset:
@@ -112,8 +141,77 @@ def load_csv(path: str) -> Dataset:
     After the header checks and before any cell check, the first row with
     more cells than the header (a trailing comma counts) is a ParseError
     naming its file row.
+
+    A plain table is read in bulk (`_bulk_read`); every other file, and
+    every file with a bad cell, goes through csv.reader (`_checked_read`).
+    Both give the same Dataset, and only the second raises a ParseError.
     """
-    reader = csv.reader(io.StringIO(_read_utf8(path, "bad CSV"), newline=""))
+    text = _read_utf8(path, "bad CSV", csv_rows=True)
+    columns = _bulk_read(text)
+    y, z, x, strata, clusters = _checked_read(text) if columns is None else columns
+    return Dataset(y, z, x, strata=strata, clusters=clusters)
+
+
+def _bulk_read(text: str):
+    """(y, z, x, strata, clusters) of a plain table from one np.loadtxt pass
+    over its numbers and one over its labels, or None for csv.reader to read.
+
+    Plain means: no `"` and no NUL; LF or CRLF line ends; a header that
+    passes `_columns`; at least one data row; as many cells in each row as
+    in the header; no line of csv.field_size_limit() characters or more;
+    z in {0, 1}; and no label empty once stripped. loadtxt strips each
+    number's cell as str.strip() does and parses it as float() does, but
+    refuses some cells float() reads (`1_000`, non-ASCII digits); those
+    files go to csv.reader too."""
+    if '"' in text or "\x00" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
+    try:
+        index, expected = _columns(header)
+    except ParseError:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) >= limit and max(map(len, lines)) >= limit:
+        return None
+    # loadtxt refuses a row that lacks a column it reads, and the two reads
+    # take every column, so each row has at least len(header) cells; a
+    # comma total of len(header) - 1 per line then leaves none with more.
+    if text.count(",") != len(lines) * (len(header) - 1):
+        return None
+    numbers = [index[name] for name in ("y", "z", *expected)]
+    labels = [name for name in _LABELS if name in index]
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, usecols=numbers, ndmin=2)
+        cells = np.loadtxt(body, dtype=str, delimiter=",", comments=None,
+                           usecols=[index[name] for name in labels], ndmin=2) if labels else None
+    except ValueError:
+        return None
+    named = dict(zip(labels, np.char.strip(cells).T)) if labels else {}
+    # loadtxt skips blank lines, which csv.reader reads as rows of no cells
+    if len(table) != len(body) or any((label == "").any() for label in named.values()):
+        return None
+    # contiguous copies, laid out as csv.reader's columns are: Dataset keeps
+    # a float64 array as given, and BLAS may round a strided one differently
+    z = table[:, 1].copy()
+    if not ((z == 0.0) | (z == 1.0)).all():
+        return None
+    x = table[:, 2:].copy() if expected else None
+    return table[:, 0].copy(), z, x, named.get("stratum"), named.get("cluster")
+
+
+def _checked_read(text: str):
+    """(y, z, x, strata, clusters) by csv.reader, naming the first bad cell
+    as load_csv describes."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = [h.strip() for h in next(reader)]
         rows = list(reader)
@@ -122,23 +220,7 @@ def load_csv(path: str) -> Dataset:
     except csv.Error as exc:
         raise ParseError(f"bad CSV: {exc}", row=reader.line_num, column="") from None
 
-    index = {name: i for i, name in enumerate(header)}
-    if len(index) != len(header):
-        raise ParseError("duplicate column names in header", row=1, column="")
-    for required in ("y", "z"):
-        if required not in index:
-            raise ParseError(f"missing required column {required!r}", row=1, column=required)
-    x_names = sorted((n for n in index if n.startswith("x")), key=lambda n: (len(n), n))
-    expected = [f"x{k}" for k in range(1, len(x_names) + 1)]
-    if x_names != expected:
-        raise ParseError(
-            f"covariate columns must be x1..xJ contiguous, got {x_names}", row=1, column=""
-        )
-    known = {"y", "z", "stratum", "cluster", *expected}
-    unknown = [n for n in header if n not in known]
-    if unknown:
-        raise ParseError(f"unrecognized columns {unknown}", row=1, column=unknown[0])
-
+    index, expected = _columns(header)
     if not rows:
         raise ParseError("no data rows", row=1, column="")
     if max(map(len, rows)) > len(header):
@@ -150,7 +232,7 @@ def load_csv(path: str) -> Dataset:
         # column that fails it is walked, to name its first bad cell.
         pos = index[name]
         cells = [row[pos].strip() if pos < len(row) else "" for row in rows]
-        numeric = name not in ("stratum", "cluster")
+        numeric = name not in _LABELS
         try:
             values = np.array(cells, dtype=np.float64 if numeric else None)
         except ValueError:
@@ -180,7 +262,7 @@ def load_csv(path: str) -> Dataset:
     x = np.column_stack([column(name) for name in expected]) if expected else None
     strata = column("stratum") if "stratum" in index else None
     clusters = column("cluster") if "cluster" in index else None
-    return Dataset(y, z, x, strata=strata, clusters=clusters)
+    return y, z, x, strata, clusters
 
 
 # -- report pieces -------------------------------------------------------------

@@ -338,6 +338,25 @@ def test_f_and_l_peak_memory_stays_below_residual_passes(n, j, rows, peak_mib):
         assert peak < bound * 2**20, (adjustment, peak / 2**20)
 
 
+@pytest.mark.parametrize("j, adjustments, rows", [(1, "nrfl", 600), (0, "n", 3061)])
+def test_many_outcomes_peak_memory_stays_within_a_few_pass_temporaries(j, adjustments, rows):
+    # K = 100 outcomes at N = 18, N1 = 4: F's sums grow with every outcome's
+    # e-bearing columns, and without covariates the (K, 3) triples grow with
+    # K, so the row blocks shrink as K grows; blocks sized for one outcome
+    # took 16.5 and 30.6 MiB beyond the outputs here
+    rng = gen(157)
+    ev = CompleteEvaluator(rng.normal(size=(100, 18)), rng.normal(size=(18, j)))
+    zmat = _random_zmat(rng, rows, 18, 4)
+    tracemalloc.start()
+    try:
+        out = ev.triples_each(zmat, tuple(adjustments))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in out.values())
+    assert peak < outputs + 8 * _batch._MOMENT_ELEMENTS * 8, (peak - outputs) / 2**20
+
+
 def _stat_matrix_peak(rng, sizes, interleaved, rows):
     """(traced peak bytes of all 12 statistics, reference set) on J = 2."""
     strata = np.repeat(np.arange(len(sizes)), sizes)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import randtest
 from randtest import Dataset, ParseError, RandtestError
-from randtest.cli import json_bytes, load_csv, main
+from randtest.cli import _bulk_read, _checked_read, json_bytes, load_csv, main
 
 CSV8 = """y,z,x1
 1.2,1,0.1
@@ -314,6 +314,194 @@ def test_bad_bytes_after_bom_report_their_row(tmp_path, capsysbinary):
     assert code == 1
     assert report["error"]["type"] == "ParseError"
     assert report["error"]["row"] == 10
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
+@pytest.mark.parametrize("cell", [b"3,0\xff", b"3,x"], ids=["non-utf8", "bad-cell"])
+def test_csv_errors_count_rows_as_csv_reader_does(end, cell, tmp_path):
+    # a lone \r ends a row for csv.reader, so the non-UTF-8 byte and the
+    # bad cell on the same line are both reported at row 4
+    sep = end.encode()
+    path = tmp_path / "rows.csv"
+    path.write_bytes(sep.join([b"y,z", b"1,0", b"2,1", cell, b"4,1"]) + sep)
+    with pytest.raises(ParseError) as err:
+        load_csv(str(path))
+    assert err.value.row == 4
+
+
+def test_scenario_config_rows_count_newlines_as_json_does(tmp_path, capsysbinary):
+    # json.loads numbers lines by \n alone, and so does the UTF-8 error
+    path = tmp_path / "cr.json"
+    path.write_bytes('{"base": "complete-null",\r "name": "café"}'.encode("latin-1"))
+    code, report = run_json(["simulate", str(path)], capsysbinary)
+    assert code == 1
+    assert report["error"]["row"] == 1
+
+
+# -- the bulk read against the reference reader ------------------------------------
+
+
+def _columns_equal(got, want):
+    """Bitwise equal (y, z, x, strata, clusters) column tuples; labels by value."""
+    for name, a, b in zip(("y", "z", "x", "strata", "clusters"), got, want):
+        if a is None or b is None:
+            assert a is None and b is None, name
+        elif name in ("strata", "clusters"):
+            assert a.tolist() == b.tolist(), name
+        else:
+            assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True), name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def _outcome(make):
+    """The arrays of the Dataset `make()` returns as bytes with their layout,
+    or the fields of the error it raises."""
+    try:
+        data = make()
+    except RandtestError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    arrays = (data.y, data.z, data.x, data.strata, data.clusters)
+    return [None if a is None else (a.dtype, a.shape, a.strides, a.tobytes()) for a in arrays]
+
+
+def _reference_dataset(text):
+    y, z, x, strata, clusters = _checked_read(text)
+    return Dataset(y, z, x, strata=strata, clusters=clusters)
+
+
+def _both_paths(text):
+    """The bulk read's columns (or None) and the reference reader's columns,
+    or its ParseError's (message, row, column)."""
+    try:
+        want = _checked_read(text)
+    except ParseError as exc:
+        want = (str(exc), exc.row, exc.column)
+    return _bulk_read(text), want
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u3000"])
+_NUMBER = st.one_of(
+    st.floats(width=64).map(repr),
+    st.floats(allow_nan=False).map("{:.17g}".format),
+    st.integers(-(10**20), 10**20).map(str),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 999),
+              st.integers(-320, 320)),
+    st.sampled_from(["inf", "-inf", "+inf", "Infinity", "nan", "NaN", "-0", "+1.5", ".5", "5."]),
+)
+_LABEL = st.text(st.sampled_from("0123456789abcXYZéß中 "), min_size=1, max_size=6).filter(str.strip)
+
+
+@st.composite
+def _plain_csv(draw):
+    """A table the bulk read takes: a drawn column order with 0-3
+    covariates, numbers in many spellings, labels with digits, letters,
+    non-ASCII characters and inner or outer spaces, LF or CRLF line ends,
+    with or without a final one."""
+    j = draw(st.integers(0, 3))
+    labels = draw(st.sampled_from([(), ("stratum",), ("cluster",), _LABELS]))
+    order = draw(st.permutations(["y", "z", *(f"x{k}" for k in range(1, j + 1)), *labels]))
+    cell = {"z": st.sampled_from(["0", "1", "0.0", "1e0", "+1", "-0"]), "stratum": _LABEL,
+            "cluster": _LABEL}
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = []
+        for name in order:
+            text = draw(cell.get(name, _NUMBER))
+            row.append(draw(_PAD) + text + draw(_PAD))
+        rows.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([",".join(order), *rows]) + (end if draw(st.booleans()) else "")
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_plain_csv())
+def test_bulk_read_equals_the_reference_reader(tmp_path, text):
+    bulk, want = _both_paths(text)
+    assert bulk is not None
+    _columns_equal(bulk, want)
+    path = tmp_path / "plain.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(lambda: load_csv(str(path))) == _outcome(lambda: _reference_dataset(text))
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_planted_csv())
+@example((["y", "z", "x1"], [[text, str(i % 2), text] for i, text in enumerate(_FLOAT_ONLY)]))
+@example((["y", "z"], [[text, "0"] for text in _FLOAT_ONLY]))
+def test_planted_tables_read_alike_on_both_paths(table):
+    # the same ParseError, or the same columns, whichever path reads them
+    order, rows = table
+    text = "\n".join(",".join(row) for row in [order, *rows]) + "\n"
+    bulk, want = _both_paths(text)
+    if bulk is None:
+        return
+    assert isinstance(want, tuple) and not isinstance(want[0], str), want
+    _columns_equal(bulk, want)
+
+
+def test_float_only_cells_go_to_the_reference_reader():
+    # loadtxt refuses what only float() reads; csv.reader then reads it
+    for cell in ("1_000", "١٢٣"):
+        text = f"y,z\n{cell},0\n2,0\n3,1\n4,1\n"
+        bulk, want = _both_paths(text)
+        assert bulk is None
+        assert want[0][0] == float(cell)
+    bulk, want = _both_paths("y,z\n 1.5 ,0\n+.5,0\n3,1\n4,1\n")
+    _columns_equal(bulk, want)
+
+
+_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("y,z\n", ("no data rows", 1, "")),
+        ("y,z\r\n", ("no data rows", 1, "")),
+        ("y,z\n1,0\n2,0\n3,1\n4,1\n\n", ("missing value", 6, "y")),
+        ("y,z\n1,0\n2,0,5\n3,1\n4,1\n", ("more cells than the 2 header columns", 3, "")),
+        ("y,z\n1,0\n2,0,5\n3\n4,1\n", ("more cells than the 2 header columns", 3, "")),
+        ("y,z\n1,0,\n2\n3,1\n4,1\n", ("more cells than the 2 header columns", 2, "")),
+        ("y,z\n1,0\n2,0,5\n\n3,1\n4,1\n", ("more cells than the 2 header columns", 3, "")),
+        ("y,z\n1,0\n2,0\n3,1\n4,1\n" + "9" * (_LIMIT + 1) + ",0\n",
+         (f"bad CSV: field larger than field limit ({_LIMIT})", 6, "")),
+        ("y,z\n1,0\r2,0\n3,1\n4,x\n", ("not a number: 'x'", 5, "z")),
+        ('y,z\n1,0\n"2",0\n3,1\n4,x\n', ("not a number: 'x'", 5, "z")),
+    ],
+    ids=["header-only", "header-only-crlf", "trailing-blank-line", "wide-row", "balanced-wide-row",
+         "balanced-trailing-comma", "balanced-blank-line", "over-field-limit", "lone-cr",
+         "quoted"],
+)
+def test_unplain_files_go_to_the_reference_reader(text, error):
+    # each raises from csv.reader as before, and loadtxt, which warns on
+    # empty input, emits no warning (pytest runs with warnings as errors)
+    bulk, want = _both_paths(text)
+    assert bulk is None
+    message, row, column = want
+    assert message.startswith(error[0]) and (row, column) == error[1:]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'y,z,stratum\n1,0,"a"\n2,0,a\n3,1,a\n4,1,a\n',
+        "y,z\n1,0\n2,0\n3,1\n4,1\r",
+        "y,z\n0." + "1" * (_LIMIT - 2) + ",0\n2,0\n3,1\n4,1\n",
+    ],
+    ids=["quoted-label", "final-lone-cr", "field-at-the-limit"],
+)
+def test_valid_unplain_files_load_through_csv_reader(text, tmp_path):
+    # csv.reader unquotes "a" to the label a, which a plain split would not,
+    # and a field of exactly the limit is valid but its line too long
+    bulk, want = _both_paths(text)
+    assert bulk is None and not isinstance(want[0], str)
+    path = tmp_path / "unplain.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(lambda: load_csv(str(path))) == _outcome(lambda: _reference_dataset(text))
 
 
 # -- analyze -------------------------------------------------------------------
