@@ -106,6 +106,9 @@ _MOMENT_ELEMENTS = 1 << 17
 _PASS_ELEMENTS = 1 << 18
 # Reference-set entries per block of rows, bounding the block's float64 copy.
 _ROW_ELEMENTS = 4_000_000
+# Assignment entries whose treated counts are taken at once: the reduction's
+# int32 copy of them stays in cache.
+_COUNT_ELEMENTS = 1 << 17
 # An HC0 form whose terms exceed its value by this factor is summed over units.
 _CANCEL = 1e6
 
@@ -184,13 +187,12 @@ class _Stratum:
         """F's column sums over each row's treated arm."""
         return self._f[0].T @ block.T
 
-    def n1(self, zmat, least: int) -> int:
-        """The treated count that every row of `zmat` (this stratum's columns)
-        shares; each arm must hold `least` units."""
-        sums = zmat.sum(axis=1)
+    def n1(self, sums: np.ndarray, least: int) -> int:
+        """The treated count that every assignment row shares, given each
+        row's count `sums` in this stratum; each arm must hold `least` units."""
         if sums.size and np.any(sums != sums[0]):
             raise InvalidSizes("assignment rows treat different numbers of units")
-        n1 = int(round(float(sums[0]))) if sums.size else 0
+        n1 = int(sums[0]) if sums.size else 0
         if n1 < 2 or self.n - n1 < 2:
             raise DegenerateArm(f"each arm needs >= 2 units, got N1={n1}")
         if n1 < least or self.n - n1 < least:
@@ -270,6 +272,10 @@ class StratifiedEvaluator:
             # a stratum of consecutive units is read through a view, not a copy
             cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < idx.size else idx
             self.parts.append(_Stratum(ys[:, idx], x[idx], cols, idx.size / self.n))
+        # the units in stratum order (None when they already are) and where
+        # each stratum starts in it, for `_n1s`
+        self.order = None if np.all(np.diff(strata) >= 0) else np.argsort(strata, kind="stable")
+        self.starts = np.cumsum([0] + [part.n for part in self.parts[:-1]])
         if self.j < 1:
             return
         (self.pairs, self.quads, self.half, self.qmult, terms, quad_cols, self.gram_cols,
@@ -390,6 +396,19 @@ class StratifiedEvaluator:
 
     _TRIPLES = {"n": triples_n, "r": triples_r, "f": triples_f, "l": triples_l}
 
+    def _n1s(self, zmat: np.ndarray, least: int) -> list[int]:
+        """Each stratum's checked treated count. The counts of all strata
+        come from one reduction per block of rows, over the units in stratum
+        order."""
+        counts = np.empty((len(zmat), len(self.parts)), dtype=np.int32)
+        step = max(1, _COUNT_ELEMENTS // self.n)
+        for s in range(0, len(zmat), step):
+            block = zmat[s : s + step]
+            if self.order is not None:
+                block = np.take(block, self.order, axis=1)
+            np.add.reduceat(block, self.starts, axis=1, dtype=np.int32, out=counts[s : s + step])
+        return [part.n1(sums, least) for part, sums in zip(self.parts, counts.T)]
+
     def triples(self, zmat: np.ndarray, adjustment: str):
         return self.triples_each(zmat, (adjustment,))[adjustment]
 
@@ -409,9 +428,10 @@ class StratifiedEvaluator:
         least = self.j + 2 if "l" in adjustments else 2
         # -0.0 is the identity of +, so a lone stratum's triples pass unchanged
         out = {a: np.full((self.k, 3, len(zmat)), -0.0) for a in adjustments}
+        n1s = iter(self._n1s(zmat, least))
         for parts, step in self._groups(len(zmat)):
             cols = [zmat[:, part.columns] for part in parts]
-            table = self._constants(parts, [part.n1(z, least) for part, z in zip(parts, cols)])
+            table = self._constants(parts, [next(n1s) for _ in parts])
             for s in range(0, len(zmat), step):
                 p = _Pass(self, parts, table, [z[s : s + step] for z in cols], out)
                 for a, triples in out.items():

@@ -10,14 +10,17 @@ of a batch are the rows a k-row batch from the same stream would hold.
 Batches are uint8 with one column per unit the design assigns (clusters
 for a cluster design).
 
-All four designs share one sampler. Each row draws one uniform float64 key
-per unit with `rng.random`. In each group of units, one `np.partition` finds
-the row's threshold, the group's N1-th smallest key, and the units with keys
-at or below it are treated. Complete, cluster and ReM candidate rows are one
-group; a stratified design has one group per stratum. A key tying the
-threshold (probability about N^2 / 2^54 per row) would treat one unit too
-many; such a row is redone from its own keys by a stable sort, drawing
-nothing more, so the prefix property holds.
+All four designs share one sampler, `_key_rows`. Each row draws one uniform
+float64 key per unit with `rng.random`, and each group of units treats the
+N1 units with the smallest keys, ties going to the lower key position.
+Complete, cluster and ReM candidate rows are one group; a stratified design
+has one group per stratum. The N1-th smallest key is selected on the keys'
+high 32-bit words, which order non-negative float64 keys as the keys do:
+one `np.partition` (one `np.sort` when their N1 differ) per run of
+consecutive equal-size groups, in blocks of 131,072 keys. A group-row where
+another word ties the selected one (11 in 80,000 rows at N=1,000) is redone
+from its float64 keys by a stable sort, drawing nothing more, so the rows
+depend on the stream alone and the prefix property holds.
 
 Each design also owns the rest of its part in the randomization test:
 
@@ -34,7 +37,9 @@ are combined over them.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,11 +52,20 @@ from .estimators import Dataset, _arm_counts, cluster_collapse
 _REJECTION_BATCH = 64
 # Rejection budget: candidates per accepted assignment.
 _MAX_TRIES = 10**6
-# Float64 values a batch draw may hold in temporaries at once.
+# Float64 values an enumeration may hold in temporaries at once.
 _BLOCK_ELEMENTS = 4_000_000
+# Keys per block of a batch draw; with the copy of their high words and the
+# marks, a block takes about 1.7 MB. Smaller blocks make more numpy calls
+# per row, and on worker threads each call may wait for the interpreter
+# lock: with 65,536 keys the threaded strat-null scenario ran about 15%
+# slower. With 262,144 the `analyze` benchmark's peak memory rose 0.5 MB.
+_KEY_ELEMENTS = 131_072
 # Values per block of rejection-sampling candidates: a few hundred rows, so
 # a block's float64 copy stays in cache and draws on worker threads stay small.
 _CANDIDATE_ELEMENTS = 65_536
+# Index of a float64's high 32-bit word (sign, exponent, leading mantissa
+# bits) in its uint32 view.
+_HIGH_WORD = int(sys.byteorder == "little")
 
 
 def _check_arms(n: int, n1: int, what: str = "units"):
@@ -59,29 +73,59 @@ def _check_arms(n: int, n1: int, what: str = "units"):
         raise InvalidSizes(f"need 2 <= treated {what} <= total - 2, got {n1} of {n}")
 
 
-def _key_rows(rng: np.random.Generator, groups, rows: int, out=None, order=None) -> np.ndarray:
+def _key_runs(sizes) -> tuple:
+    """(span, (groups, N_k), N_k1s, kth) per run of consecutive groups of
+    equal size N_k, from (N_k, N_k1) per group in key order: the run's key
+    positions, the shape of its groups, their treated counts and the
+    partition index N_k1 - 1, one int when every group's agrees."""
+    runs, start = [], 0
+    for n_k, run in itertools.groupby(sizes, key=lambda size: size[0]):
+        n1s = np.array([n_k1 for _, n_k1 in run])
+        kth = int(n1s[0]) - 1 if np.all(n1s == n1s[0]) else n1s - 1
+        stop = start + n_k * n1s.size
+        runs.append((slice(start, stop), (n1s.size, n_k), n1s, kth))
+        start = stop
+    return tuple(runs)
+
+
+def _key_rows(rng: np.random.Generator, runs, rows: int, out=None, order=None) -> np.ndarray:
     """`rows` uniform assignments, written into `out` ((rows, N) uint8) if given.
 
-    Each (start, stop, n1) group of key positions treats the units holding
-    its n1 smallest keys; key j of a row belongs to unit `order[j]` (unit j
-    without `order`).
+    Group g of a run of `_key_runs` holds the run's key positions g N_k up
+    to (g + 1) N_k and treats the units holding its N_k1s[g] smallest keys,
+    the lower position first among equal keys; key j of a row belongs to
+    unit `order[j]` (unit j without `order`).
+
+    A run's groups are selected at once, on the keys' high words: the units
+    whose word is at or below the group's N_k1-th smallest word are the ones
+    treated unless another word equals it. Such a group-row is redone by a
+    stable sort of its float64 keys.
     """
-    n = groups[-1][1]
+    n = runs[-1][0].stop
     out = np.empty((rows, n), dtype=np.uint8) if out is None else out
-    # keys and the partition's copy of them stay within a block
-    step = max(1, _BLOCK_ELEMENTS // (4 * n))
-    for start in range(0, rows, step):
-        keys = rng.random((min(step, rows - start), n))
-        dest = out[start : start + keys.shape[0]]
+    step = max(1, _KEY_ELEMENTS // n)
+    for first in range(0, rows, step):
+        keys = rng.random((min(step, rows - first), n))
+        words = keys.view(np.uint32)[:, _HIGH_WORD::2]
+        dest = out[first : first + keys.shape[0]]
         block = dest if order is None else np.empty(keys.shape, dtype=np.uint8)
-        for a, b, n1 in groups:
-            part, marks = keys[:, a:b], block[:, a:b]
-            threshold = np.partition(part, n1 - 1, axis=1)[:, n1 - 1, None]
-            np.less_equal(part, threshold, out=marks)
-            # a key tying the threshold marks one unit too many
-            for i in np.flatnonzero(marks.sum(axis=1) != n1):
-                marks[i] = 0
-                marks[i, np.argsort(part[i], kind="stable")[:n1]] = 1
+        for span, groups, n1s, kth in runs:
+            shape = (keys.shape[0], *groups)
+            part = words[:, span].reshape(shape)
+            if isinstance(kth, int):
+                chosen = np.partition(part, kth, axis=2)
+                threshold, above = chosen[:, :, kth], chosen[:, :, kth + 1 :].min(axis=2)
+            else:
+                chosen, at = np.sort(part, axis=2), np.arange(n1s.size)
+                threshold, above = chosen[:, at, kth], chosen[:, at, kth + 1]
+            # the smallest float64 whose high word is above the threshold
+            bound = ((threshold.astype(np.uint64) + 1) << 32).view(np.float64)
+            group_keys = keys[:, span].reshape(shape)
+            marks = block.view(bool)[:, span].reshape(shape)
+            np.less(group_keys, bound[:, :, None], out=marks)
+            for i, g in zip(*np.nonzero(above == threshold)):
+                marks[i, g] = False
+                marks[i, g, np.argsort(group_keys[i, g], kind="stable")[: n1s[g]]] = True
         if order is not None:
             dest[:, order] = block
     return out
@@ -126,7 +170,7 @@ class CompleteDesign:
 
     def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
         """`rows` assignments, written into `out` ((rows, N) uint8) if given."""
-        return _key_rows(rng, ((0, self.n_units, self.n_treated),), rows, out)
+        return _key_rows(rng, _key_runs(((self.n_units, self.n_treated),)), rows, out)
 
     def count(self) -> int:
         return math.comb(self.n_units, self.n_treated)
@@ -154,7 +198,8 @@ class ClusterDesign:
 
     def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
         """Cluster-level assignments, written into `out` ((rows, M) uint8) if given."""
-        return _key_rows(rng, ((0, self.n_clusters, self.n_treated_clusters),), rows, out)
+        runs = _key_runs(((self.n_clusters, self.n_treated_clusters),))
+        return _key_rows(rng, runs, rows, out)
 
     def count(self) -> int:
         return math.comb(self.n_clusters, self.n_treated_clusters)
@@ -213,14 +258,13 @@ class StratifiedDesign:
         return self.strata.shape[0]
 
     @cached_property
-    def _key_layout(self) -> tuple[np.ndarray | None, tuple[tuple[int, int, int], ...]]:
-        """The units in stratum order (None when they already are) and each
-        stratum's (start, stop, N_k1) key positions."""
-        stops = np.cumsum([n_k for n_k, _ in self.sizes]).tolist()
-        groups = tuple((stop - n_k, stop, n_k1) for stop, (n_k, n_k1) in zip(stops, self.sizes))
+    def _key_layout(self) -> tuple[np.ndarray | None, tuple]:
+        """The units in stratum order (None when they already are) and the
+        `_key_runs` of the strata, whose keys are drawn in code order."""
+        runs = _key_runs(self.sizes)
         if np.all(np.diff(self.strata) >= 0):
-            return None, groups
-        return np.argsort(self.strata, kind="stable"), groups
+            return None, runs
+        return np.argsort(self.strata, kind="stable"), runs
 
     def draw_batch(self, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
         """`rows` assignments, written into `out` ((rows, N) uint8) if given.
@@ -229,8 +273,8 @@ class StratifiedDesign:
         every stratum; keys are drawn row-major, stratum by stratum, so
         units already in stratum order need no reordering.
         """
-        order, groups = self._key_layout
-        return _key_rows(rng, groups, rows, out, order)
+        order, runs = self._key_layout
+        return _key_rows(rng, runs, rows, out, order)
 
     def count(self) -> int:
         return math.prod(math.comb(n_k, n_k1) for n_k, n_k1 in self.sizes)

@@ -176,6 +176,50 @@ def test_mixed_arm_sizes_rejected_across_blocks(adjustment, small_blocks):
         CompleteEvaluator(data.y, data.x).triples(zmat, adjustment)
 
 
+
+def _stratified_rows(bad: dict, interleaved: bool):
+    """An evaluator over 4 strata of 8 units and 5 rows treating 4 of each
+    stratum, except that `bad` maps a stratum to the treated count of its
+    row 3 ("mixed": one more than the others) or of every row (an int)."""
+    rng = gen(139)
+    strata = np.repeat(np.arange(4), 8)
+    if interleaved:
+        strata = rng.permutation(strata)
+    zmat = np.zeros((5, 32), dtype=np.uint8)
+    for k in range(4):
+        units = np.flatnonzero(strata == k)
+        treated = bad.get(k, 4)
+        for row in range(5):
+            count = 4 + (row == 3) if treated == "mixed" else treated
+            zmat[row, rng.permutation(units)[:count]] = 1
+    data = random_dataset(131, n=32, j=1)
+    return StratifiedEvaluator(data.y, data.x, strata), zmat
+
+
+@pytest.mark.parametrize("interleaved", (False, True))
+@pytest.mark.parametrize("count_rows", (None, 2))
+@pytest.mark.parametrize("adjustment", "nl")
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ({2: "mixed"}, InvalidSizes, "different numbers"),
+        ({1: 1, 2: "mixed"}, DegenerateArm, "got N1=1"),
+        ({2: "mixed", 3: 1}, InvalidSizes, "different numbers"),
+        ({3: 7}, DegenerateArm, "got N1=7"),
+    ],
+)
+def test_treated_counts_name_the_first_bad_stratum(
+    bad, error, message, adjustment, count_rows, interleaved, monkeypatch
+):
+    # a bad stratum after the first raises, and the first bad one decides
+    # how, also when the rows are counted in blocks of `count_rows`
+    if count_rows:
+        monkeypatch.setattr(_batch, "_COUNT_ELEMENTS", 32 * count_rows)
+    ev, zmat = _stratified_rows(bad, interleaved)
+    with pytest.raises(error, match=message):
+        ev.triples(zmat, adjustment)
+
+
 # -- differential fuzz: batch triples against the reference refits ----------------
 
 # Smallest singular value of the covariate mixing matrix, as a power of ten:

@@ -7,9 +7,13 @@ prefix of a longer run with the same seed, and every drawn row must be a
 valid, uniformly drawn member of its design.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randtest.designs as designs
 import randtest.engine as engine
@@ -254,16 +258,206 @@ class _TiedKeys:
         return np.floor(self._rng.random(size) * 4) / 4
 
 
+class _PrefixTiedKeys:
+    """A generator whose keys share their high 32-bit word with other keys
+    and differ below it: all keys share one word, so every group-row ties
+    at its threshold word and only the float64 keys can order it, or each
+    takes one of `words` words, so some group-rows tie and others do not."""
+
+    def __init__(self, seed, words=1):
+        self._rng, self._words = gen(seed), words
+
+    def random(self, size):
+        # one uniform per key, so blocks of any size draw the same keys
+        scaled = self._rng.random(size) * self._words
+        word = np.floor(scaled)
+        high = (0x3FE0_0000 + word).astype(np.uint64) << np.uint64(32)
+        return (high | ((scaled - word) * 2**32).astype(np.uint64)).view(np.float64)
+
+
+def _reference_rows(rng, sizes, rows, strata=None):
+    """The sampler as it was before selection on high words: all keys at
+    once, a float64 partition per group, and a stable sort of the keys of
+    every group-row whose threshold is tied. `sizes` holds (N_k, N_k1) per
+    group in key order; the keys of group k belong to the units of stratum
+    k in unit order."""
+    n = sum(n_k for n_k, _ in sizes)
+    keys = rng.random((rows, n))
+    marks = np.empty((rows, n), dtype=np.uint8)
+    a = 0
+    for n_k, n1 in sizes:
+        part, mark = keys[:, a : a + n_k], marks[:, a : a + n_k]
+        threshold = np.partition(part, n1 - 1, axis=1)[:, n1 - 1, None]
+        np.less_equal(part, threshold, out=mark)
+        for i in np.flatnonzero(mark.sum(axis=1) != n1):
+            mark[i] = 0
+            mark[i, np.argsort(part[i], kind="stable")[:n1]] = 1
+        a += n_k
+    if strata is None:
+        return marks
+    out = np.empty_like(marks)
+    out[:, np.argsort(strata, kind="stable")] = marks
+    return out
+
+
+def _reference_draws(design, rng, rows):
+    """`design.draw_batch(rng, rows)` by `_reference_rows`, a ReM
+    candidate at a time."""
+    if isinstance(design, StratifiedDesign):
+        return _reference_rows(rng, design.sizes, rows, design.strata)
+    if isinstance(design, ClusterDesign):
+        return _reference_rows(rng, [(design.n_clusters, design.n_treated_clusters)], rows)
+    if isinstance(design, CompleteDesign):
+        return _reference_rows(rng, [(design.n_units, design.n_treated)], rows)
+    kept = []
+    while len(kept) < rows:
+        z = _reference_draws(design.base, rng, 1)
+        if mahalanobis_many(z, design.covariates)[0] < design.threshold:
+            kept.append(z[0])
+    return np.array(kept, dtype=np.uint8).reshape(rows, design.n_units)
+
+
+_KEY_SOURCES = {
+    "stream": gen,
+    "tied": _TiedKeys,
+    "prefix-tied": _PrefixTiedKeys,
+    "some-prefix-tied": lambda seed: _PrefixTiedKeys(seed, words=40),
+}
+
+
+def _check_tied_draws(kind, stub, monkeypatch):
+    monkeypatch.setattr(designs, "_KEY_ELEMENTS", 28 * 5)  # 5-row key blocks
+    design = _design(kind)
+    zmat = design.draw_batch(stub(4), 60)
+    np.testing.assert_array_equal(design.draw_batch(stub(4), 23), zmat[:23])
+    _assert_arm_sizes(kind, design, zmat)
+    # every row, repaired or not, is its keys' stable-sort assignment
+    np.testing.assert_array_equal(zmat, _reference_draws(design, stub(4), 60))
+
+
+def _threshold_ties(keys, n1=11):
+    return np.sum(keys <= np.sort(keys, axis=1)[:, n1 - 1 : n1], axis=1) > n1
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_tied_keys_are_repaired_from_their_own_row(kind, monkeypatch):
-    monkeypatch.setattr(designs, "_BLOCK_ELEMENTS", 4 * 28 * 5)  # 5-row key blocks
-    design = _design(kind)
-    zmat = design.draw_batch(_TiedKeys(4), 60)
-    np.testing.assert_array_equal(design.draw_batch(_TiedKeys(4), 23), zmat[:23])
-    _assert_arm_sizes(kind, design, zmat)
-    if kind == "complete":
-        # every row, repaired or not, is its keys' stable-sort assignment
-        keys = _TiedKeys(4).random((60, 28))
-        assert np.sum(keys <= np.sort(keys, axis=1)[:, 10:11], axis=1).max() > 11
-        stub = _TiedKeys(4)
-        np.testing.assert_array_equal(zmat, [_single_candidate(stub, 28, 11) for _ in range(60)])
+    _check_tied_draws(kind, _TiedKeys, monkeypatch)
+    assert _threshold_ties(_TiedKeys(4).random((60, 28))).any()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tied_words_are_redone_from_their_float_keys(kind, monkeypatch):
+    _check_tied_draws(kind, _PrefixTiedKeys, monkeypatch)
+    keys = _PrefixTiedKeys(4).random((60, 28))
+    assert _threshold_ties(keys.view(np.uint64) >> 32).all() and not _threshold_ties(keys).any()
+
+
+def test_word_ties_are_found_anywhere_above_the_threshold():
+    # a wide group, whose words above the partition's split are unordered
+    design = CompleteDesign(1000, 400)
+    zmat = design.draw_batch(_PrefixTiedKeys(8, words=1000), 200)
+    np.testing.assert_array_equal(zmat, _reference_draws(design, _PrefixTiedKeys(8, words=1000), 200))
+
+
+@st.composite
+def _key_layouts(draw):
+    """Strata in runs of equal size, each stratum with its own N_k1, the
+    units in stratum order or shuffled."""
+    sizes = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_k = draw(st.integers(4, 24))
+        run = draw(st.lists(st.integers(2, n_k - 2), min_size=1, max_size=4))
+        sizes += [(n_k, n_k1) for n_k1 in run]
+    strata = np.repeat(np.arange(len(sizes)), [n_k for n_k, _ in sizes])
+    if draw(st.booleans()):
+        strata = strata[draw(st.permutations(range(strata.size)))]
+    return StratifiedDesign(strata, tuple(sizes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _key_layouts(),
+    st.integers(0, 70),
+    st.integers(1, 40),
+    st.sampled_from(sorted(_KEY_SOURCES)),
+    st.integers(0, 2**32 - 1),
+)
+def test_key_rows_equal_the_reference_sampler(design, rows, block_rows, source, seed):
+    # any layout, row count and key-block size draws the reference rows bitwise
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "_KEY_ELEMENTS", block_rows * design.n_units)
+        zmat = design.draw_batch(_KEY_SOURCES[source](seed), rows)
+    np.testing.assert_array_equal(zmat, _reference_draws(design, _KEY_SOURCES[source](seed), rows))
+
+
+# The stream pinned: SHA-256 of the reference set (R=1,500, two stream
+# chunks, observed row of zeros first) at seeds 5 and 2024, then of seven
+# successive `draw` rows from gen(9). Equal-size strata of differing N_k1
+# sit side by side in "strat-runs"; unequal ones are interleaved in
+# "strat-interleaved"; at each seed one row of "complete-wide" has another
+# key in its threshold's high word. A change of the sampler that moves one
+# draw fails here.
+PINNED_DESIGNS = {
+    "complete": CompleteDesign(200, 70),
+    "complete-wide": CompleteDesign(2000, 700),
+    "cluster": ClusterDesign(60, 25),
+    "rem": RerandomizedDesign(
+        CompleteDesign(100, 50), chi2_quantile(0.25, 2), gen(41).normal(size=(100, 2))
+    ),
+    "strat-runs": StratifiedDesign(
+        np.repeat(np.arange(6), [20, 20, 20, 20, 20, 13]),
+        ((20, 5), (20, 10), (20, 10), (20, 7), (20, 13), (13, 6)),
+    ),
+    "strat-interleaved": StratifiedDesign(
+        gen(40).permutation(np.repeat(np.arange(5), [7, 12, 9, 12, 12])),
+        ((7, 3), (12, 6), (9, 4), (12, 9), (12, 5)),
+    ),
+}
+PINNED_DIGESTS = {
+    "complete": (
+        "45d7211acf389fb3112f80c888bc1b4731522c8f08bb93a35e5b88f8665494fc",
+        "e7006f13d47dcdc3d87f4327ea93b84db6ddbd01ac80679d2b5ce0100eb2321e",
+        "4f63eb582abd675201bdcd0f22d9c718b58dce77badf63955c7f88a22e52d489",
+    ),
+    "complete-wide": (
+        "36f208b0a33af10f0af3e84c9c08a9fe9e5dd40eddc4f90d4e9658e77717294a",
+        "4813dd7cb4aaf076cea21b9cf9550de6e1b5980b61f29ad1a1a3ef847d983aab",
+        "99ad94ab0807f4258fc9cf92752eead94aef740bb4d3d4f04730918bb51fdcb2",
+    ),
+    "cluster": (
+        "639cad71ce60c579d9ccb68643e872a85669cbb891dd9c3b6153b872cb6edbfb",
+        "7018faba89cd0d6021e1a9a6820b01ac5eff000baccad7407c289dd76fe6390d",
+        "35c9f448cb567818179040dd1085517398f85e605aef35ba96f5743ec8acfaed",
+    ),
+    "rem": (
+        "050ee61778ec08ff163a73d8a274d00736862d15eda3e581719888473765a790",
+        "d8e5670f1c2784379bd37e9da1baf28fb8fc1b6f5d65fd24acb6ac938fd601e1",
+        "0936854af8968f862e745e28d6ae6b0460aa0a3ea0e00e9d00ca63c34223e725",
+    ),
+    "strat-runs": (
+        "b8e524b226d502721e369120f823e940a1fc9cc6c7ae93d67918726df49a1868",
+        "c0beef21eea55d4c5710990934b722eafaee1b23192e0f0c8a52b57e4657463e",
+        "e0e0651bcaa868f727d48aa11e66fad893f2b47b5b9ae2ddba55eb7d53d9ba09",
+    ),
+    "strat-interleaved": (
+        "3416e923e538784319b150daa42186dabb3076e799c980ce29b844334c3326f7",
+        "5150def228e5fdd066425529512dc97f4c9e36a89a4e12320fb69058f15cc0cc",
+        "b9f264907502291e5383766ba4840f6e68e69dd2ea6ce01a846ff76420e04965",
+    ),
+}
+
+
+def _sha256(rows) -> str:
+    return hashlib.sha256(np.ascontiguousarray(rows, dtype=np.uint8).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DESIGNS))
+def test_reference_sets_and_draws_are_pinned(kind):
+    design = PINNED_DESIGNS[kind]
+    seeds = []
+    for seed in (5, 2024):
+        zmat = _draw_matrix(design, 1500, seed)
+        seeds.append(_sha256(np.vstack([np.zeros_like(zmat[:1]), zmat])))
+    rng = gen(9)
+    rows = _sha256([designs.draw(design, rng) for _ in range(7)])
+    assert (*seeds, rows) == PINNED_DIGESTS[kind]
