@@ -45,9 +45,8 @@ import numpy as np
 
 from .errors import DegenerateArm, DimensionMismatch, InvalidSizes, RankDeficient
 from .estimators import StatisticSpec
-from .linalg import column_scale
+from .linalg import RANK_TOL, column_scale
 
-_QR_TOL = 1e-10
 _PIVOT_TOL = 1e-12  # a Gram pivot this small against its diagonal entry is rounding noise
 
 
@@ -80,7 +79,7 @@ def _centered_qr(x: np.ndarray, *ycs: np.ndarray):
     xc = x - x.mean(axis=0)
     q, r = np.linalg.qr(xc / column_scale(x))
     pivots = np.abs(np.diag(r))
-    if pivots.size and pivots.min() <= _QR_TOL * max(pivots.max(), np.sqrt(len(x))):
+    if pivots.size and pivots.min() <= RANK_TOL * max(pivots.max(), np.sqrt(len(x))):
         raise RankDeficient("centered covariates are collinear")
     # y's mean is already out; project out the basis
     return (q, *(yc - q @ (q.T @ yc) for yc in ycs))

@@ -483,11 +483,7 @@ def mahalanobis(z: np.ndarray, x_d: np.ndarray, threshold: float = np.inf) -> Ba
     tau_x = x_d[z == 1].mean(axis=0) - x_d[z == 0].mean(axis=0)
     s2 = _balance_metric(x_d)
     cov = (n / (n1 * n0)) * s2
-    try:
-        w = np.linalg.solve(cov, tau_x)
-    except np.linalg.LinAlgError as err:
-        raise SingularCovariance(str(err)) from err
-    dist = float(tau_x @ w)
+    dist = float(tau_x @ np.linalg.solve(cov, tau_x))  # _balance_metric rejected a singular cov
     return BalanceReport(tau_x, dist, dist < threshold, threshold)
 
 

@@ -68,6 +68,11 @@ _TIE_RTOL = 1e-9
 _GRID_ELEMENTS = 25_000
 # Halvings whose midpoints one CI boundary round scores at once.
 _BISECT_DEPTH = 4
+# Bracket, relative to the grid span, at which a CI boundary search stops.
+# Node values move in their last bits with the evaluator's row blocks and
+# BLAS threads; at float resolution the endpoint would move with them, but
+# at this depth only a crossing within rounding of a midpoint can move it.
+_BISECT_RTOL = 2.0**-36
 # Gap, relative to max(1, |t_obs|), by which a replicate must clear the
 # observed statistic over a bracket to skip its boundary search (`_settle`).
 _SETTLE_RTOL = 1e-6
@@ -99,10 +104,13 @@ class CiResult:
     """Confidence interval from test inversion over a fixed grid.
 
     `lower` / `upper` bound the accepted region, located between grid points
-    by bisection. `grid` is (lo, hi, step); `points` and `p_values` are the
-    tested grid shifts and their p-values. `lower_at_edge` / `upper_at_edge`
-    flag an accepted region that reaches the first / last grid point, where
-    the interval may be cut off by the grid rather than by the test.
+    by bisection to within 2**-36 of the grid span (hi - lo). At that depth
+    they do not read the last bits of the node evaluations, so they do not
+    move with the evaluator's row-block size or the BLAS thread count.
+    `grid` is (lo, hi, step); `points` and `p_values` are the tested grid
+    shifts and their p-values. `lower_at_edge` / `upper_at_edge` flag an
+    accepted region that reaches the first / last grid point, where the
+    interval may be cut off by the grid rather than by the test.
     """
 
     lower: float
@@ -239,69 +247,17 @@ def frt_p_values(
     return t_obs, p
 
 
-# Cephes `ndtri` (S. L. Moshier), as shipped in `scipy.special` under scipy's
-# BSD licence: rational approximations in y - 1/2 near the centre and in
-# 1/sqrt(-2 log y) in the tails, each polynomial highest power first and
-# evaluated in the same order, so that every result is bitwise equal to
-# `scipy.special.ndtri`'s. Cephes' monic denominators (p1evl) carry their
-# leading 1.0 here: 1.0 * z + c rounds exactly as z + c.
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-
-
-def _polevl(z: float, coef: tuple) -> float:
-    """Horner's rule, highest power first."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * z + c
-    return ans
-
-
-def _ndtri(p: float) -> float:
-    """Standard normal quantile: -inf at 0, inf at 1, nan outside [0, 1]."""
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    if not 0.0 < p < 1.0:
-        return math.nan
-    upper = p > 1.0 - _EXP_M2
-    y = 1.0 - p if upper else p
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * 2.50662827463100050242e0  # sqrt(2 pi)
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    num, den = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x - math.log(x) / x - z * _polevl(z, num) / _polevl(z, den)
-    return x if upper else -x
-
-
 def wald_ci(triple: EstimateTriple, alpha: float) -> tuple[float, float]:
     """Normal-approximation interval around the estimate, robust SE."""
     if not 0 < alpha < 1:
         raise InvariantViolation(f"alpha must be in (0,1), got {alpha}")
     if not triple.se_robust > 0:
         raise ZeroSe("robust standard error must be positive for a Wald interval")
-    q = _ndtri(1 - alpha / 2)
+    from statistics import NormalDist  # lazily: only intervals need it
+
+    p = 1 - alpha / 2
+    # inv_cdf(1.0) raises; an alpha whose half vanishes against 1 gives (-inf, inf)
+    q = math.inf if p == 1 else NormalDist().inv_cdf(p)
     return (triple.tau_hat - q * triple.se_robust, triple.tau_hat + q * triple.se_robust)
 
 
@@ -400,17 +356,16 @@ def _settle(rows: np.ndarray, nodes, ends, studentization: str, sided: str):
     return ~(above | below), int(np.count_nonzero(above))
 
 
-def _boundary(p_at, alpha: float, inside: float, outside: float) -> float:
+def _boundary(p_at, alpha: float, inside: float, outside: float, tol: float) -> float:
     """Bisection between an accepted shift `inside` and a rejected shift
-    `outside`: the last accepted midpoint, at float resolution.
+    `outside`: the last accepted midpoint once the bracket is within `tol`,
+    or at float resolution if that comes first.
 
     Each round scores, in one `p_at` call, every midpoint that the next
     `_BISECT_DEPTH` halvings can reach, then walks them as one-at-a-time
-    bisection would: the same midpoints, the same stop when a midpoint
-    equals an end, and at most 64 halvings, which pass float resolution.
+    bisection would: the same midpoints and the same stops.
     """
-    halvings = 0
-    while True:
+    while abs(outside - inside) > tol:
         # the tree of reachable intervals in heap order: node i's children,
         # 2i + 1 if its midpoint is accepted and 2i + 2 if not
         ends, mids = [(inside, outside)], []
@@ -422,13 +377,13 @@ def _boundary(p_at, alpha: float, inside: float, outside: float) -> float:
         node = 0
         for _ in range(_BISECT_DEPTH):
             mid = mids[node]
-            if halvings == 64 or mid in (inside, outside):
+            if abs(outside - inside) <= tol or mid in (inside, outside):
                 return inside
-            halvings += 1
             if accepted[node]:
                 inside, node = mid, 2 * node + 1
             else:
                 outside, node = mid, 2 * node + 2
+    return inside
 
 
 def invert_ci(
@@ -451,10 +406,13 @@ def invert_ci(
     cluster design, where it holds the treated clusters' scaled sizes. All
     grid points share one set of reference assignments, so the acceptance
     region boundary is stable. The interval ends where the acceptance region
-    ends: each endpoint is the last accepted shift of a bisection, to float
-    resolution, between the outermost non-rejected grid point and its rejected
-    neighbour, so it carries no grid error; an accepted region that reaches a
-    grid edge ends there.
+    ends: each endpoint is the last accepted shift of a bisection between the
+    outermost non-rejected grid point and its rejected neighbour, so it
+    carries no grid error. The bisection stops once its bracket is within
+    2**-36 of the grid span (`_BISECT_RTOL`): the endpoint is exact to that
+    width, and it does not depend on the evaluator's row blocks or the BLAS
+    thread count, which move node values in their last bits. An accepted
+    region that reaches a grid edge ends there.
 
     The reference set is evaluated only at the grid's ends and midpoint.
     Every fit depends on the reference assignment and X alone, so a
@@ -511,7 +469,8 @@ def invert_ci(
 
     def boundary(inside, outside):
         keep, settled = _settle(rows, nodes, (inside, outside), spec.studentization, sided)
-        return _boundary(lambda s: p_at(s, rows[keep], settled), alpha, inside, outside)
+        tol = _BISECT_RTOL * (hi - lo)
+        return _boundary(lambda s: p_at(s, rows[keep], settled), alpha, inside, outside, tol)
 
     cols = max(1, _GRID_ELEMENTS // m)
     p_vals = np.concatenate([p_at(points[s : s + cols]) for s in range(0, num, cols)])

@@ -211,9 +211,7 @@ def _two_group(values: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
     """
     treated = values[z == 1]
     control = values[z == 0]
-    n1, n0 = treated.shape[0], control.shape[0]
-    if n1 < 2 or n0 < 2:
-        raise DegenerateArm(f"each arm needs >= 2 units, got N1={n1}, N0={n0}")
+    n1, n0 = treated.shape[0], control.shape[0]  # each >= 2 in a Dataset
     n = n1 + n0
     tau = float(treated.mean() - control.mean())
     s1 = float(treated.var(ddof=1))

@@ -197,6 +197,24 @@ def test_draw_dispatch_and_counts():
     rdesign = RerandomizedDesign(CompleteDesign(6, 3), 5.0, x)
     assert rdesign.count() == 20  # pre-filter bound
     assert draw(rdesign, rng).sum() == 3
+    with pytest.raises(TypeError):
+        draw({"kind": "complete", "n": 6, "n1": 3}, rng)
+
+
+def test_one_dimensional_covariates_are_one_column():
+    rng = gen(43)
+    x = rng.normal(size=12)
+    col = x[:, None]
+    y, z = rng.normal(size=12), draw(CompleteDesign(12, 5), rng)
+    np.testing.assert_array_equal(Dataset(y, z, x).x, col)
+    flat, wide = (RerandomizedDesign(CompleteDesign(12, 5), 2.0, c) for c in (x, col))
+    np.testing.assert_array_equal(flat.covariates, wide.covariates)
+    np.testing.assert_array_equal(flat.draw_batch(gen(5), 20), wide.draw_batch(gen(5), 20))
+    one, two = mahalanobis(z, x), mahalanobis(z, col)
+    assert one.mahalanobis == two.mahalanobis
+    np.testing.assert_array_equal(one.tau_x_hat, two.tau_x_hat)
+    zmat = flat.draw_batch(gen(6), 8)
+    np.testing.assert_array_equal(mahalanobis_many(zmat, x), mahalanobis_many(zmat, col))
 
 
 def _protocol_case(kind):

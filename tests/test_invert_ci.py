@@ -28,6 +28,7 @@ import pytest
 
 import randtest._batch as _batch
 import randtest.engine as engine
+import randtest.simulate as simulate
 from randtest import (
     ALL_SPECS,
     ClusterDesign,
@@ -221,6 +222,27 @@ def test_chunked_inversion_is_bitwise_stable(small_blocks):
     assert (chunked.lower, chunked.upper) == (finer.lower, finer.upper) == (base.lower, base.upper)
 
 
+@pytest.mark.parametrize("seed", range(400, 420))
+def test_endpoints_do_not_depend_on_blocks_or_blas_threads(seed, small_blocks):
+    # the boundary searches stop at a bracket of 2**-36 of the grid span, so
+    # the last bits that row blocks and BLAS threads move in the node values
+    # do not reach the endpoints (at float resolution most of these seeds
+    # differ across the block sizes)
+    data = _complete(seed, 60, 30)
+    design = CompleteDesign(60, 30)
+
+    def interval():
+        res = invert_ci(data, L_ROBUST, 0.05, design, r=300, seed=5)
+        return res.lower, res.upper, res.p_values.tobytes()
+
+    base = interval()
+    with simulate._one_blas_thread:
+        assert interval() == base
+    for elements in (60 * 37, 60 * 7):
+        small_blocks(elements)
+        assert interval() == base
+
+
 def test_grid_edge_truncation_is_flagged():
     data = random_dataset(283, n=30, j=1, tau=0.5)
     design = CompleteDesign(30, 15)
@@ -262,9 +284,9 @@ def test_zero_replicates_rejected(chunk_rows, small_blocks):
         frt_p_value(data, L_ROBUST, design, r=0, seed=1)
 
 
-def _sequential_boundary(p_at, alpha, inside, outside):
+def _sequential_boundary(p_at, alpha, inside, outside, tol):
     # one midpoint per p_at call: the search the batched one must reproduce
-    for _ in range(64):
+    while abs(outside - inside) > tol:
         mid = inside + (outside - inside) / 2
         if mid in (inside, outside):
             break
@@ -275,12 +297,13 @@ def _sequential_boundary(p_at, alpha, inside, outside):
     return inside
 
 
+@pytest.mark.parametrize("rtol", [0.0, engine._BISECT_RTOL])
 @pytest.mark.parametrize("seed", range(8))
-def test_batched_boundary_matches_sequential_bisection(seed):
+def test_batched_boundary_matches_sequential_bisection(seed, rtol):
     rng = gen(seed)
-    # p-curves crossing alpha one to three times, searched both ways to float
-    # resolution; the last search starts 1e300 wide, so it is still halving
-    # at the 64-halving cap
+    # p-curves crossing alpha one to three times, searched both ways to a
+    # bracket of rtol times the start's, or to float resolution at rtol 0;
+    # the last search starts 1e300 wide, so at rtol 0 it takes about 85 halvings
     cuts = np.sort(rng.uniform(-1, 1, size=rng.integers(1, 4)))
     wide = np.array([1e290 * rng.uniform(1, 2)])
     calls = []
@@ -292,10 +315,13 @@ def test_batched_boundary_matches_sequential_bisection(seed):
 
         if p_at(np.array([inside]))[0] <= ALPHA:
             inside, outside = outside, inside
-        want = _sequential_boundary(p_at, ALPHA, inside, outside)
+        tol = rtol * abs(outside - inside)
         calls.clear()
-        assert engine._boundary(p_at, ALPHA, inside, outside) == want
-        assert len(calls) <= 64 // engine._BISECT_DEPTH + 1
+        want = _sequential_boundary(p_at, ALPHA, inside, outside, tol)
+        halvings = len(calls)
+        calls.clear()
+        assert engine._boundary(p_at, ALPHA, inside, outside, tol) == want
+        assert len(calls) <= halvings // engine._BISECT_DEPTH + 1
 
 
 @pytest.mark.parametrize("name", ["complete-half", "stratified", "exact-half"])
