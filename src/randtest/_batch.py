@@ -17,6 +17,9 @@ once, from sums over each assignment's arms:
   w0 summed over arms. Each HC0 numerator sums ((a'v)(b'v))^2 over an arm, a
   quadratic form in v's pair products; rows whose form cancels past its
   accuracy (few residual degrees of freedom at high leverage) sum over units.
+  A row has NaN triples where the reference refit finds no fit: under `f`
+  where Z'(I-H)Z vanishes against N p1 (1 - p1) (`_SPAN_TOL`), under `l`
+  where an arm's Gram system is singular (`_solve_batch`).
 
 An evaluator can serve several outcomes that share X (and the strata), as
 the interval inversion's shifted outcomes Y - cZ do. Each block of rows is
@@ -48,6 +51,9 @@ from .estimators import StatisticSpec
 from .linalg import RANK_TOL, column_scale
 
 _PIVOT_TOL = 1e-12  # a Gram pivot this small against its diagonal entry is rounding noise
+# Z lies in the span of (1, X), and has no fit, where z'(I-H)z is at most this
+# share of its value N p1 (1 - p1) without covariates.
+_SPAN_TOL = 1e-10
 
 
 def _studentized(tau: np.ndarray, se2: np.ndarray) -> np.ndarray:
@@ -195,7 +201,9 @@ class _Stratum:
         if n1 < 2 or self.n - n1 < 2:
             raise DegenerateArm(f"each arm needs >= 2 units, got N1={n1}")
         if n1 < least or self.n - n1 < least:
-            raise DegenerateArm(f"interacted fit needs >= {least} units per arm")
+            raise DegenerateArm(
+                f"interacted fit needs >= {least} units per arm, got N1={n1}, N0={self.n - n1}"
+            )
         return n1
 
 
@@ -362,6 +370,7 @@ class StratifiedEvaluator:
         p1 = n1 / n
         g = mom[self.gram_cols[1 : j + 1], :c] / n  # Hz = u'g
         z_ih_z = n * (p1 * (1 - p1) - np.einsum("ij,ij->j", g, g))
+        z_ih_z[z_ih_z <= _SPAN_TOL * n * p1 * (1 - p1)] = np.nan  # no fit, as in the refit
         arm, g2 = np.concatenate([1 - p1, -p1]), np.hstack([g, g])
         delta = np.vstack([arm, -g2, np.zeros(2 * c)])
         out = np.empty((self.k, 3, c))
@@ -453,10 +462,11 @@ def make_evaluator(y, x, strata=None):
     return CompleteEvaluator(y, x) if strata is None else StratifiedEvaluator(y, x, strata)
 
 
-def stat_matrix(evaluator, zmat: np.ndarray, specs: list[StatisticSpec]) -> np.ndarray:
-    """(B, len(specs)) statistic values, computing each adjustment once."""
+def stat_matrix(evaluator, zmat: np.ndarray, specs: list[StatisticSpec]):
+    """(B, len(specs)) statistic values, computing each adjustment once, and
+    per adjustment the (tau, classic se^2, robust se^2) triple of row 0."""
     by_adjustment = evaluator.triples_each(zmat, dict.fromkeys(s.adjustment for s in specs))
     out = np.empty((zmat.shape[0], len(specs)))
     for col, spec in enumerate(specs):
         out[:, col] = _statistic(by_adjustment[spec.adjustment], spec.studentization)
-    return out
+    return out, {a: triples[..., 0] for a, triples in by_adjustment.items()}

@@ -39,8 +39,8 @@ from .estimators import (
     Dataset,
     StatisticSpec,
     cluster_collapse,  # unused here; perfbench/spans.py traces cluster collapses at this name
-    estimate,
-    estimate_stratified,
+    estimate,  # unused here; perfbench/spans.py traces reference fits at this name
+    estimate_stratified,  # unused here; perfbench/spans.py traces reference fits at this name
 )
 from .permlm import PermLmSpec, perm_lm_p_value
 from .simulate import (
@@ -289,8 +289,10 @@ def _base_report(command: str) -> dict:
     }
 
 
-def _test_fields(args, result, triple) -> dict:
-    """The report fields of one test, `seed` through `replicate_histogram`."""
+def _test_fields(args, result) -> dict:
+    """The report fields of one test, `seed` through `replicate_histogram`;
+    `estimate` is the observed row of the test's own evaluation."""
+    triple = result.estimate
     return {
         "seed": args.seed,
         "sided": args.sided,
@@ -347,13 +349,11 @@ def _cmd_analyze(args) -> dict:
     data = load_csv(args.data)
     spec = StatisticSpec(args.stat, args.student)
     design, rem_cols = _build_design(args, data)
-    adata, adesign = design.analysis_form(data)
-    triple = (estimate if adesign.strata is None else estimate_stratified)(adata, spec.adjustment)
     described = design.describe()
     if rem_cols is not None:
         described["columns"] = rem_cols
     result = frt_p_value(
-        adata, spec, adesign, r=args.reps, seed=args.seed, exact=args.exact, sided=args.sided
+        data, spec, design, r=args.reps, seed=args.seed, exact=args.exact, sided=args.sided
     )
     report = _base_report("analyze")
     report.update(
@@ -368,7 +368,7 @@ def _cmd_analyze(args) -> dict:
             },
             "spec": {"adjustment": spec.adjustment, "studentization": spec.studentization},
             "design": described,
-            **_test_fields(args, result, triple),
+            **_test_fields(args, result),
         }
     )
     if args.ci:
@@ -393,7 +393,7 @@ def _cmd_analyze(args) -> dict:
         }
     else:
         try:
-            report["wald"] = list(wald_ci(triple, args.alpha))
+            report["wald"] = list(wald_ci(result.estimate, args.alpha))
         except ZeroSe:
             report["wald"] = None
     return report
@@ -408,7 +408,7 @@ def _cmd_permlm(args) -> dict:
         {
             "data": {"path": args.data, "n": data.n, "n1": data.n1, "j": data.j},
             "spec": {"scheme": spec.scheme, "studentization": spec.studentization},
-            **_test_fields(args, result, estimate(data, "f")),
+            **_test_fields(args, result),
         }
     )
     return report

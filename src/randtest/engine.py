@@ -13,10 +13,11 @@ every statistic are counted at once. `invert_ci` takes its reference set
 and its analysis form from the same place. The observed assignment is row 0
 of the reference set (`_reference_set`), so one evaluator pass forms the
 observed statistic by the same rule as every replicate's, in exact and in
-Monte Carlo mode. Extreme counts turn into p-values by one rule
-(`_p_value`), which `perm_lm_p_value` shares. The evaluator splits the rows
-into blocks, with bounds that depend on the problem shape alone, so results
-are bitwise reproducible.
+Monte Carlo mode, and its (tau, classic SE, robust SE) is the estimate the
+result reports (`FrtResult.estimate`): no path refits. Extreme counts turn
+into p-values by one rule (`_p_value`), which `perm_lm_p_value` shares.
+The evaluator splits the rows into blocks, with bounds that depend on the
+problem shape alone, so results are bitwise reproducible.
 
 Monte Carlo replicates are drawn in fixed chunks of `_STREAM_ROWS` rows;
 chunk c draws its rows as one batch from the stream seeded by (seed, c).
@@ -46,6 +47,7 @@ from .designs import (
 from .errors import (
     EmptyAcceptanceRegion,
     InvariantViolation,
+    RankDeficient,
     TooLarge,
     ZeroSe,
 )
@@ -54,8 +56,8 @@ from .estimators import (
     EstimateTriple,
     StatisticSpec,
     cluster_collapse,  # unused here; perfbench/spans.py traces cluster collapses at this name
-    estimate,
-    estimate_stratified,
+    estimate,  # unused here; perfbench/spans.py traces reference fits at this name
+    estimate_stratified,  # unused here; perfbench/spans.py traces reference fits at this name
 )
 
 EXHAUSTIVE_CAP = 1_000_000
@@ -86,9 +88,12 @@ class FrtResult:
     Carlo, the whole assignment space for exact mode). `p_value` follows the
     add-one rule (1 + #extreme)/(1 + R) in Monte Carlo mode and the plain
     fraction #extreme/|Z| in exact mode; `mc_se` is 0 for exact results.
+    `estimate` is the observed assignment's estimate with both SEs, from the
+    same evaluation that scores the replicates.
     """
 
     t_obs: float
+    estimate: EstimateTriple
     replicates: np.ndarray
     p_value: float
     mc_se: float
@@ -194,15 +199,27 @@ def _count_extreme(vals: np.ndarray, t_obs, sided: str):
     return np.count_nonzero(~(vals < t_obs - tol), axis=0)
 
 
+def _observed_estimate(triple, adjustment: str) -> EstimateTriple:
+    """The estimate of the observed assignment's (tau, classic se^2, robust
+    se^2) triple; RankDeficient where the evaluator found no fit (a NaN
+    entry), where the reference refit rejects the fit too."""
+    tau, se2_classic, se2_robust = map(float, triple)
+    if not all(map(math.isfinite, (tau, se2_classic, se2_robust))):
+        raise RankDeficient(f"the observed assignment has no {adjustment!r} fit: rank deficient")
+    return EstimateTriple(tau, math.sqrt(max(se2_classic, 0.0)), math.sqrt(max(se2_robust, 0.0)))
+
+
 def _frt(data, specs, design, r, seed, exact, sided):
-    """(t_obs, replicates, p-values) of `specs` over one reference set;
-    replicates are (rows, len(specs))."""
+    """(t_obs, replicates, p-values, observed triples) of `specs` over one
+    reference set; replicates are (rows, len(specs)), and the observed row's
+    (tau, classic se^2, robust se^2) are keyed by adjustment."""
     _check_sided(sided)
     adata, adesign = design.analysis_form(data)
     evaluator = make_evaluator(adata.y, adata.x, adesign.strata)
-    vals = stat_matrix(evaluator, _reference_set(adesign, adata.z, r, seed, exact), specs)
+    vals, observed = stat_matrix(evaluator, _reference_set(adesign, adata.z, r, seed, exact), specs)
     t_obs, vals = vals[0], vals[1:]
-    return t_obs, vals, _p_value(_count_extreme(vals, t_obs, sided), vals.shape[0], exact)
+    p = _p_value(_count_extreme(vals, t_obs, sided), vals.shape[0], exact)
+    return t_obs, vals, p, observed
 
 
 def frt_p_value(
@@ -220,12 +237,17 @@ def frt_p_value(
     Monte Carlo mode draws `r` fresh assignments from `design` (outcomes and
     covariates held fixed) and applies the add-one rule; exact mode sweeps
     the whole assignment space. Two-sided tests compare absolute values.
+    The observed row's estimate is reported; RankDeficient where it has no
+    fit.
     """
-    t_obs, vals, p = _frt(data, [spec], design, r, seed, exact, sided)
+    t_obs, vals, p, observed = _frt(data, [spec], design, r, seed, exact, sided)
+    triple = _observed_estimate(observed[spec.adjustment], spec.adjustment)
     p = float(p[0])
     mc_se = 0.0 if exact else math.sqrt(p * (1 - p) / vals.shape[0])
     mode = "exact" if exact else "monte_carlo"
-    return FrtResult(float(t_obs[0]), vals[:, 0], p, mc_se, mode, int(seed), design, spec, sided)
+    return FrtResult(
+        float(t_obs[0]), triple, vals[:, 0], p, mc_se, mode, int(seed), design, spec, sided
+    )
 
 
 def frt_p_values(
@@ -243,7 +265,7 @@ def frt_p_values(
     between-statistic Monte Carlo noise when comparing them, and computes
     each adjustment's moments once per draw.
     """
-    t_obs, _, p = _frt(data, specs, design, r, seed, False, sided)
+    t_obs, _, p, _ = _frt(data, specs, design, r, seed, False, sided)
     return t_obs, p
 
 
@@ -414,6 +436,12 @@ def invert_ci(
     thread count, which move node values in their last bits. An accepted
     region that reaches a grid edge ends there.
 
+    The default grid spans the Wald interval with three widths of margin on
+    each side. Its estimate comes from a one-row evaluation of the observed
+    assignment, by the same rules as every replicate's; RankDeficient where
+    that row has no fit, and InvariantViolation where `alpha` leaves the
+    interval unbounded.
+
     The reference set is evaluated only at the grid's ends and midpoint.
     Every fit depends on the reference assignment and X alone, so a
     replicate's estimate is linear in c and each squared SE quadratic in c;
@@ -437,7 +465,10 @@ def invert_ci(
         )
     _check_sided(sided)
     adata, adesign = design.analysis_form(data)
-    triple = (estimate if adesign.strata is None else estimate_stratified)(adata, spec.adjustment)
+    # the Wald interval places the grid, so its estimate takes a pass of its own
+    evaluator = make_evaluator(adata.y, adata.x, adesign.strata)
+    observed = evaluator.triples(adata.z[None], spec.adjustment)
+    triple = _observed_estimate(observed[:, 0], spec.adjustment)
     try:
         wald = wald_ci(triple, alpha)
     except ZeroSe:
@@ -446,6 +477,11 @@ def invert_ci(
         wald = (math.nan, math.nan)  # an explicit grid works where the Wald interval does not
     if grid is None:
         width = wald[1] - wald[0]
+        if not math.isfinite(width):
+            raise InvariantViolation(
+                f"alpha={alpha} is too small for a default grid: the Wald interval is "
+                f"{wald}; pass an explicit grid"
+            )
         grid = (wald[0] - 3 * width, wald[1] + 3 * width, 201)
     lo, hi, num = _grid(grid)
     points = np.linspace(lo, hi, num)

@@ -9,7 +9,21 @@ from __future__ import annotations
 
 
 class RandtestError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    Pickling keeps the type, the message and every field: a subclass whose
+    constructor takes fields beyond its message is rebuilt without calling
+    it, from `args` and the instance dict.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, fields):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(fields)
+    return exc
 
 
 class DimensionMismatch(RandtestError):

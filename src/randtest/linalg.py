@@ -12,9 +12,11 @@ goes through `numpy.linalg`. numpy and scipy each bundle their own OpenBLAS
 with its own thread pool, and a matrix triangular solve wakes scipy's, whose
 threads then spin against numpy's matrix products on the same cores.
 
-`scipy.linalg` is imported inside `fit_ols`, on its first call: the batch
-evaluators, `simulate` and the default `analyze` never fit a reference
-regression, so they run without loading scipy.
+`fit_ols` is the reference that the batch evaluators are tested against,
+and no runtime path calls it: the engine, `permlm` and every CLI subcommand
+take their estimates from the evaluation that scores the test. So
+`scipy.linalg` is imported inside `fit_ols`, on its first call, and those
+paths run without loading scipy.
 """
 
 from __future__ import annotations

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import _centered_qr, _statistic
+from ._batch import _SPAN_TOL, _centered_qr, _statistic
 from .engine import (
     FrtResult,
     _check_sided,
     _count_extreme,
+    _observed_estimate,
     _p_value,
     _replicate_count,
     _streams,
@@ -88,7 +89,7 @@ class _Projection:
         p1 = data.n1 / n
         self.delta = z - p1 - self.q @ (self.q.T @ z)
         self.ss_delta = float(self.delta @ self.delta)
-        if self.ss_delta <= 1e-10 * n * p1 * (1 - p1):
+        if self.ss_delta <= _SPAN_TOL * n * p1 * (1 - p1):
             raise ZeroDenominator("Z is in the span of (1, X)")
         self.c = 1.0 / self.ss_delta
         self.tau_f = self.c * float(self.delta @ self.yc)
@@ -104,11 +105,11 @@ class _Projection:
             "manly": (self.yc, float(self.yc @ self.yc)),
         }
 
-    def observed_stat(self, studentization: str) -> float:
+    def observed_triple(self) -> np.ndarray:
+        """The full fit's (coefficient, classic se^2, robust se^2), as a (3, 1) column."""
         se2_c = max(self.c * self.sum_e2 - self.tau_f**2, 0.0) / (self.n - 2 - self.j)
         se2_r = self.c**2 * float(self.delta2 @ self.eps_f**2)
-        triple = np.array([[self.tau_f], [se2_c], [se2_r]])
-        return float(_statistic(triple, studentization)[0])
+        return np.array([[self.tau_f], [se2_c], [se2_r]])
 
     def replicate_forms(self, perms: np.ndarray, scheme: str, with_se: bool = True):
         """(coefficient, classic se^2, robust se^2) for each permutation row;
@@ -212,17 +213,22 @@ def perm_lm_p_value(
     """Monte Carlo p-value for one scheme.
 
     The observed statistic is the treatment coefficient of the full fit,
-    studentized as `spec` asks; replicates follow the scheme's permutation
-    recipe with label shuffles drawn in fixed chunks, one stream per chunk.
+    studentized as `spec` asks, and that fit is the reported estimate;
+    replicates follow the scheme's permutation recipe with label shuffles
+    drawn in fixed chunks, one stream per chunk.
     """
     _check_sided(sided)
     r = _replicate_count(r)
     prep = _Projection(data)
-    t_obs = prep.observed_stat(spec.studentization)
+    observed = prep.observed_triple()
+    t_obs = float(_statistic(observed, spec.studentization)[0])
     perms = _draw_permutations(data.n, r, seed)
     step = max(1, _BLOCK_ELEMENTS // data.n)
     blocks = np.split(perms, range(step, r, step))
     vals = np.concatenate([prep.replicate_stats(block, spec) for block in blocks])
     p = _p_value(_count_extreme(vals, t_obs, sided), r, False)
     mc_se = math.sqrt(p * (1 - p) / r)
-    return FrtResult(t_obs, vals, float(p), mc_se, "monte_carlo", int(seed), None, spec, sided)
+    estimate = _observed_estimate(observed[:, 0], "f")
+    return FrtResult(
+        t_obs, estimate, vals, float(p), mc_se, "monte_carlo", int(seed), None, spec, sided
+    )

@@ -62,7 +62,7 @@ def test_01_exact_test_valid_at_every_achievable_level():
     x = rng.standard_normal((8, 1))
     design = CompleteDesign(8, 4)
     zmat = exhaustive_assignments(design)
-    stats = stat_matrix(make_evaluator(y, x), zmat, list(ALL_SPECS))
+    stats = stat_matrix(make_evaluator(y, x), zmat, list(ALL_SPECS))[0]
 
     failures = []
     p_by_spec = {}

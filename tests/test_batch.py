@@ -46,8 +46,12 @@ def test_complete_evaluator_matches_statistic_path():
     rng = gen(103)
     zmat = _random_zmat(rng, 40, 30, data.n1)
     ev = CompleteEvaluator(data.y, data.x)
-    mat = stat_matrix(ev, zmat, ALL_SPECS)
+    mat, observed = stat_matrix(ev, zmat, ALL_SPECS)
     assert mat.shape == (40, 12)
+    # with each adjustment's triple of row 0, from the same pass
+    assert list(observed) == ["n", "r", "f", "l"]
+    for adjustment, triple in observed.items():
+        np.testing.assert_array_equal(triple, ev.triples(zmat, adjustment)[:, 0])
     for i in range(0, 40, 7):
         z = zmat[i].astype(np.int64)
         d = Dataset(data.y, z, data.x)
@@ -68,7 +72,7 @@ def test_stratified_evaluator_matches_statistic_path():
             idx = np.where(strata == k)[0]
             zmat[i, rng.permutation(idx)[:5]] = 1
     ev = StratifiedEvaluator(y, x, strata)
-    mat = stat_matrix(ev, zmat, ALL_SPECS)
+    mat = stat_matrix(ev, zmat, ALL_SPECS)[0]
     for i in range(0, 25, 6):
         d = Dataset(y, zmat[i].astype(np.int64), x, strata=strata)
         for s, spec in enumerate(ALL_SPECS):
@@ -105,7 +109,7 @@ def test_constant_outcome_gives_zero_everywhere():
     y = np.full(n, 3.0)
     x = gen(113).normal(size=(n, 1))
     zmat = _random_zmat(gen(127), 10, n, 8)
-    mat = stat_matrix(CompleteEvaluator(y, x), zmat, ALL_SPECS)
+    mat = stat_matrix(CompleteEvaluator(y, x), zmat, ALL_SPECS)[0]
     assert np.all(mat == 0.0)
 
 
@@ -117,7 +121,8 @@ def test_zero_se_sentinel_is_signed_infinity():
     x = np.array([[0.1], [0.2], [0.3], [0.4], [0.5], [0.6]])
     z = np.array([1, 1, 1, 0, 0, 0], dtype=np.uint8)
     ev = CompleteEvaluator(y, x)
-    mat = stat_matrix(ev, z[None, :], [StatisticSpec("n", "robust"), StatisticSpec("n", "none")])
+    specs = [StatisticSpec("n", "robust"), StatisticSpec("n", "none")]
+    mat = stat_matrix(ev, z[None, :], specs)[0]
     assert mat[0, 0] == np.inf  # tau = 1, se = 0
     assert mat[0, 1] == 1.0
 

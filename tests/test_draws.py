@@ -139,9 +139,11 @@ def test_results_invariant_to_chunk_count(kind, monkeypatch, small_blocks):
         lambda: engine._frt(data, list(ALL_SPECS), design, 300, 9, False, "two"),
         design.analysis_form(data)[1].n_units,
     )
-    for t_obs, vals, p in runs[1:]:
+    for t_obs, vals, p, observed in runs[1:]:
         np.testing.assert_array_equal(t_obs, runs[0][0])
         np.testing.assert_array_equal(p, runs[0][2])
+        for adjustment, triple in observed.items():
+            np.testing.assert_array_equal(triple, runs[0][3][adjustment])
         np.testing.assert_allclose(vals, runs[0][1], rtol=1e-12, atol=1e-12)
 
 

@@ -235,13 +235,14 @@ def _count_passes(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["complete", "cluster", "stratified", "rem"])
 def test_one_evaluator_pass_per_monte_carlo_test(kind, monkeypatch):
-    # the observed assignment is row 0 of the reference set: R + 1 rows, one pass
+    # the observed assignment is row 0 of the reference set: R + 1 rows, one
+    # pass; invert_ci first scores the observed row alone for its Wald interval
     data, design = _design_case(kind)
     passes = _count_passes(monkeypatch)
     frt_p_value(data, N_ROBUST, design, r=50, seed=1)
     frt_p_values(data, list(ALL_SPECS), design, r=60, seed=1)
     invert_ci(data, N_ROBUST, 0.05, design, r=70, seed=1)
-    assert passes == [51, 61, 71]
+    assert passes == [51, 61, 1, 71]
 
 
 @pytest.mark.parametrize("kind", ["complete", "rem"])
@@ -254,7 +255,7 @@ def test_one_evaluator_pass_per_exact_test(kind, monkeypatch):
     passes = _count_passes(monkeypatch)
     res = frt_p_value(data, N_ROBUST, design, exact=True)
     invert_ci(data, N_ROBUST, 0.05, design, exact=True)
-    assert passes == [rows, rows]
+    assert passes == [rows, 1, rows]
     assert res.replicates.shape == (rows - 1,)
 
 
@@ -273,7 +274,7 @@ def test_mc_super_uniformity_by_enumeration():
     zmat = exhaustive_assignments(design)
     from randtest._batch import CompleteEvaluator, stat_matrix
 
-    t = stat_matrix(CompleteEvaluator(y, x), zmat, [N_ROBUST])[:, 0]
+    t = stat_matrix(CompleteEvaluator(y, x), zmat, [N_ROBUST])[0][:, 0]
     q = np.array([np.mean(np.abs(t) >= abs(ti)) for ti in t])
     r = 19
     for k in range(1, r + 2):

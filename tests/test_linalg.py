@@ -1,5 +1,6 @@
 """Small dense OLS kernel: exact examples, sandwich algebra, rank handling."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -131,3 +132,41 @@ def test_only_simulate_sets_blas_threads():
         if re.search(r"^\s*(import|from)\s+ctypes\b|set_num_threads", path.read_text(), re.M)
     }
     assert owners == {"simulate.py"}
+
+
+def _scipy_importers(path: Path) -> set[str]:
+    """The dotted name (module.function, module.Class.method) of each scope
+    in `path` that imports scipy, by an import statement or by
+    `importlib.import_module`/`__import__` of a literal name; module level
+    counts as the bare module name."""
+    module, found = path.stem, set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            elif isinstance(child, ast.Call) and child.args:
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called in ("import_module", "__import__") and isinstance(
+                    child.args[0], ast.Constant
+                ):
+                    names = [str(child.args[0].value)]
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                found.add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{owner}.{child.name}" if inner else owner)
+
+    visit(ast.parse(path.read_text()), module)
+    return found
+
+
+def test_scipy_is_imported_only_by_the_reference_fit_and_the_chi2_helpers():
+    # every runtime path takes its estimates from the batch evaluators; a new
+    # scipy import anywhere else would load scipy on a path that needs none
+    package = Path(randtest.__file__).parent
+    importers = set().union(*(_scipy_importers(path) for path in package.rglob("*.py")))
+    assert importers == {"linalg.fit_ols", "designs.chi2_cdf", "simulate.chi2_quantile"}

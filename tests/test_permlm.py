@@ -121,7 +121,7 @@ def test_schemes_are_not_finite_sample_exact():
         data = Dataset(y, z, x)
         frt_p = frt_p_value(data, StatisticSpec("f", "none"), design, exact=True).p_value
         proj = _Projection(data)
-        t_obs = proj.observed_stat("none")
+        t_obs = float(proj.observed_triple()[0, 0])
         for scheme in SCHEMES:
             stats = proj.replicate_stats(all_perms, PermLmSpec(scheme, "none"))
             perm_p = float(np.mean(~(np.abs(stats) < abs(t_obs))))

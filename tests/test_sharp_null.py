@@ -80,7 +80,7 @@ def test_sharp_null_size_is_at_most_alpha(population, pick):
     data, design = population
     adata, adesign = design.analysis_form(data)
     zmat = exhaustive_assignments(adesign)
-    vals = stat_matrix(make_evaluator(adata.y, adata.x, adesign.strata), zmat, ALL_SPECS)
+    vals = stat_matrix(make_evaluator(adata.y, adata.x, adesign.strata), zmat, ALL_SPECS)[0]
     rows = zmat.shape[0]
     checked = pick.draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2))
     spec = pick.draw(st.integers(0, len(ALL_SPECS) - 1))

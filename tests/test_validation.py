@@ -1,12 +1,15 @@
 """Bad inputs raise the `RandtestError` subclass that names them, and the
 CLI turns them into structured errors."""
 
+import inspect
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+import randtest.errors as errors
 from randtest import (
     CompleteDesign,
     Dataset,
@@ -18,6 +21,7 @@ from randtest import (
     InvalidSizes,
     InvariantViolation,
     PermLmSpec,
+    RankDeficient,
     RerandomizedDesign,
     StatisticSpec,
     StratifiedDesign,
@@ -36,7 +40,7 @@ from randtest import (
     sample_truncated_L,
     stratified_combine,
 )
-from randtest.cli import _replicate_histogram, main
+from randtest.cli import _error_payload, _replicate_histogram, main
 from conftest import gen, random_dataset
 
 L_ROBUST = StatisticSpec("l", "robust")
@@ -118,6 +122,16 @@ def test_numpy_integer_seed_and_count_are_accepted(data, call):
 def test_malformed_grid_is_an_invariant_violation(data, grid):
     with pytest.raises(InvariantViolation, match="grid"):
         invert_ci(data, L_ROBUST, 0.05, CompleteDesign(data.n, data.n1), r=50, seed=3, grid=grid)
+
+
+def test_default_grid_at_a_vanishing_alpha_names_alpha(data):
+    # 1 - alpha/2 rounds to 1, so the Wald interval, and a default grid, is unbounded
+    design = CompleteDesign(data.n, data.n1)
+    with pytest.raises(InvariantViolation, match="alpha=1e-17"):
+        invert_ci(data, L_ROBUST, 1e-17, design, r=50, seed=3)
+    res = invert_ci(data, L_ROBUST, 1e-17, design, r=50, seed=3, grid=(-5.0, 5.0, 21))
+    assert res.wald_init == (-math.inf, math.inf)
+    assert res.lower_at_edge and res.upper_at_edge
 
 
 def test_grid_count_may_be_a_numpy_integer(data):
@@ -307,9 +321,13 @@ def test_config_from_dict_needs_an_object(raw):
 # -- CLI -------------------------------------------------------------------------------
 
 
-def _write_csv(path, data):
+def _write_csv(path, data, labels=None):
+    """`data` as a CSV file, with a (name, codes) label column if given."""
     names = ["y", "z"] + [f"x{k + 1}" for k in range(data.j)]
     columns = [data.y, data.z] + [data.x[:, k] for k in range(data.j)]
+    if labels is not None:
+        names.append(labels[0])
+        columns.append(labels[1])
     lines = [",".join(names)]
     lines += [",".join(repr(c[i].item()) for c in columns) for i in range(data.n)]
     path.write_text("\n".join(lines) + "\n")
@@ -359,3 +377,105 @@ def test_replicate_histogram_of_nonfinite_replicates():
     assert hist["nonfinite"] == 4
     np.testing.assert_array_equal(hist["counts"], np.zeros(20))
     np.testing.assert_array_equal(hist["bin_edges"], np.linspace(0.0, 1.0, 21))
+
+
+# -- errors ------------------------------------------------------------------------------
+
+# the fields each error class takes beyond its message
+_FIELDS = {
+    errors.AcceptanceTimeout: {"tries": 5000, "acceptance_rate": 0.0},
+    errors.EmptyAcceptanceRegion: {"nearest": -1.5, "max_p": 0.04},
+    errors.ParseError: {"row": 3, "column": "x1"},
+}
+_ERRORS = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.RandtestError)
+]
+
+
+@pytest.mark.parametrize("cls", _ERRORS, ids=lambda cls: cls.__name__)
+def test_every_error_pickles_with_its_type_message_and_fields(cls):
+    # errors cross process boundaries by pickling, as a worker pool's would
+    exc = cls("what went wrong", **_FIELDS.get(cls, {}))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc) == "what went wrong"
+    assert back.args == exc.args
+    assert vars(back) == vars(exc) == _FIELDS.get(cls, {})
+    assert _error_payload(back) == _error_payload(exc)
+
+
+# -- inputs the reference refit rejects -------------------------------------------------
+
+
+def _rejected(case):
+    """(data, labels) of an input that the reference refit rejects; the
+    labels, if any, name strata of 12 units or clusters of 2."""
+    rng = gen(1813)
+    z = np.tile([1, 1, 0, 0], 6)  # 6 treated per stratum, one arm per cluster
+    noise = rng.normal(size=(24, 3))
+    x = np.column_stack([z, noise[:, 0]])  # x1 = z
+    labels = None
+    if case == "binary-constant-in-treated":
+        x = np.column_stack([np.where(z == 1, 1.0, np.arange(24) % 3 == 0), noise[:, 0]])
+    elif case == "collinear":
+        x = np.column_stack([noise[:, 0], 2 * noise[:, 0]])
+    elif case == "small-arm":  # 4 treated units, fewer than J + 2 = 5
+        z = np.isin(np.arange(24), [0, 5, 10, 15]).astype(np.int64)
+        x = noise
+    elif case == "no-covariates":
+        x = None
+    elif case == "stratified":
+        labels = ("stratum", np.arange(24) // 12)
+    elif case == "cluster":
+        labels = ("cluster", np.arange(24) // 2)
+    y = noise[:, 2] + 0.5 * z
+    return Dataset(y, z, x), labels
+
+
+@pytest.mark.parametrize("stat", ["f", "l"])
+def test_an_observed_assignment_without_a_fit_is_rank_deficient(stat):
+    # x1 = z: the refit finds the treatment column in the covariates' span,
+    # and so do the evaluator's f (z'(I-H)z = 0) and l (a singular arm)
+    data, _ = _rejected("x1-is-z")
+    design = CompleteDesign(data.n, data.n1)
+    spec = StatisticSpec(stat, "robust")
+    with pytest.raises(RankDeficient):
+        estimate(data, stat)
+    with pytest.raises(RankDeficient):
+        frt_p_value(data, spec, design, r=50, seed=3)
+    for grid in (None, (-5.0, 5.0, 21)):
+        with pytest.raises(RankDeficient):
+            invert_ci(data, spec, 0.05, design, r=50, seed=3, grid=grid)
+
+
+@pytest.mark.parametrize(
+    "case, stat, kind",
+    [
+        ("x1-is-z", "f", "RankDeficient"),
+        ("x1-is-z", "l", "RankDeficient"),
+        ("binary-constant-in-treated", "l", "RankDeficient"),
+        ("collinear", "r", "RankDeficient"),
+        ("collinear", "f", "RankDeficient"),
+        ("collinear", "l", "RankDeficient"),
+        ("small-arm", "l", "DegenerateArm"),
+        ("no-covariates", "r", "DimensionMismatch"),
+        ("no-covariates", "f", "DimensionMismatch"),
+        ("no-covariates", "l", "DimensionMismatch"),
+        ("stratified", "f", "RankDeficient"),
+        ("stratified", "l", "RankDeficient"),
+        ("cluster", "f", "RankDeficient"),
+        ("cluster", "l", "RankDeficient"),
+    ],
+)
+def test_analyze_rejects_what_the_reference_refit_rejects(case, stat, kind, tmp_path, capsysbinary):
+    # the same error type as when the report refit the estimate: the
+    # evaluator's observed row has no fit wherever the refit has none
+    data, labels = _rejected(case)
+    argv = ["analyze", _write_csv(tmp_path / "d.csv", data, labels), "--stat", stat]
+    argv += ["--reps", "20"]
+    if labels is not None:
+        argv += ["--design", "stratified" if labels[0] == "stratum" else "cluster"]
+    code, report = _run(argv, capsysbinary)
+    assert code == 1
+    assert report["error"]["type"] == kind

@@ -112,7 +112,7 @@ def _check_exact_size(name):
     p = np.empty((m, len(ALL_SPECS)))
     for k in range(m):
         adata, adesign = design.analysis_form(data_at(zmat[k]))
-        vals = stat_matrix(make_evaluator(adata.y, adata.x, adesign.strata), zmat, ALL_SPECS)
+        vals = stat_matrix(make_evaluator(adata.y, adata.x, adesign.strata), zmat, ALL_SPECS)[0]
         p[k] = _p_value(_count_extreme(vals, vals[k], "two"), m, True)
     size = dict(zip(LABELS, np.mean(p <= ALPHA, axis=0)))
     space, counts = REJECTIONS[name]
