@@ -65,9 +65,12 @@ EXHAUSTIVE_CAP = 1_000_000
 _STREAM_ROWS = 1024
 _SIDES = ("one", "two")
 _TIE_RTOL = 1e-9
-# Replicate-by-shift values scored at once when scanning the CI grid: each
-# float64 temporary of a chunk stays near 200 KB, inside the L2 cache.
-_GRID_ELEMENTS = 25_000
+# Grid points per block of the CI grid scan; each block is settled at once
+# (`_settle`), and only a block that keeps some replicate is scored.
+_GRID_BLOCK = 32
+# Replicates per chunk of the CI grid scan: a block's float64 temporaries
+# stay near 256 KB however large the reference set.
+_GRID_ROWS = 1024
 # Halvings whose midpoints one CI boundary round scores at once.
 _BISECT_DEPTH = 4
 # Bracket, relative to the grid span, at which a CI boundary search stops.
@@ -186,8 +189,9 @@ def _p_value(extreme, m: int, exact: bool):
     return extreme / m if exact else (1 + extreme) / (1 + m)
 
 
-def _count_extreme(vals: np.ndarray, t_obs, sided: str):
-    """Extreme replicates in each column of `vals`, against `t_obs` per column."""
+def _count_extreme(vals: np.ndarray, t_obs, sided: str, keep=None):
+    """Extreme replicates in each column of `vals`, against `t_obs` per column;
+    where a `keep` mask of `vals`' shape is given, only its rows count."""
     # Replicates within a relative _TIE_RTOL of t_obs tie with it, so a tie
     # that is exact in real arithmetic counts whatever the rounding. Negated
     # strict comparisons count NaNs (errored replicates) as extreme.
@@ -195,8 +199,10 @@ def _count_extreme(vals: np.ndarray, t_obs, sided: str):
     finite = np.isfinite(t_obs)
     tol = _TIE_RTOL * np.maximum(1.0, np.abs(np.where(finite, t_obs, 0.0))) * finite
     if sided == "two":
-        return np.count_nonzero(~(np.abs(vals) < np.abs(t_obs) - tol), axis=0)
-    return np.count_nonzero(~(vals < t_obs - tol), axis=0)
+        extreme = ~(np.abs(vals) < np.abs(t_obs) - tol)
+    else:
+        extreme = ~(vals < t_obs - tol)
+    return np.count_nonzero(extreme if keep is None else extreme & keep, axis=0)
 
 
 def _observed_estimate(triple, adjustment: str) -> EstimateTriple:
@@ -263,9 +269,13 @@ def frt_p_values(
 
     Reusing the same reference assignments across statistics removes
     between-statistic Monte Carlo noise when comparing them, and computes
-    each adjustment's moments once per draw.
+    each adjustment's moments once per draw. RankDeficient where the
+    observed row has no fit under some statistic's adjustment, as in
+    `frt_p_value`.
     """
-    t_obs, _, p, _ = _frt(data, specs, design, r, seed, False, sided)
+    t_obs, _, p, observed = _frt(data, specs, design, r, seed, False, sided)
+    for adjustment, triple in observed.items():
+        _observed_estimate(triple, adjustment)
     return t_obs, p
 
 
@@ -322,8 +332,9 @@ def _stat_at_shift(vals: np.ndarray, nodes, c: np.ndarray, studentization: str) 
 
 
 def _stat_bounds(vals: np.ndarray, nodes, ends, studentization: str):
-    """(lo, hi) per row: bounds on every value `_stat_at_shift` can give at a
-    shift between `ends` (a < b, inside the nodes); NaN where there are none.
+    """(lo, hi), one column per bracket: bounds per row on every value
+    `_stat_at_shift` can give at a shift between a and b, for `ends` = (a, b),
+    two arrays with a < b inside the nodes; NaN where there are none.
 
     Between a and b the estimate is linear in c, and the squared SE, a
     quadratic with leading coefficient k, strays from its chord by at most
@@ -333,24 +344,25 @@ def _stat_bounds(vals: np.ndarray, nodes, ends, studentization: str):
     leaves t unbounded away from 0: only the bound nearer 0 remains.
     """
     a, b = ends
+    n = a.size
     eps = np.finfo(np.float64).eps
-    tau, se2 = _interpolated(vals, nodes, np.array([a, b]), studentization)
-    spread = 64 * eps * (np.abs(vals[:, 0]) + np.abs(vals[:, 1]))
-    lo = np.minimum(tau[:, 0], tau[:, 1]) - spread
-    hi = np.maximum(tau[:, 0], tau[:, 1]) + spread
+    tau, se2 = _interpolated(vals, nodes, np.concatenate([a, b]), studentization)
+    spread = 64 * eps * (np.abs(vals[:, 0:1]) + np.abs(vals[:, 1:2]))
+    lo = np.minimum(tau[:, :n], tau[:, n:]) - spread
+    hi = np.maximum(tau[:, :n], tau[:, n:]) + spread
     if se2 is None:
         return lo, hi
     c0, c1, c2 = nodes
     k = (
-        vals[:, 2] / ((c0 - c1) * (c0 - c2))
-        + vals[:, 3] / ((c1 - c0) * (c1 - c2))
-        + vals[:, 4] / ((c2 - c0) * (c2 - c1))
+        vals[:, 2:3] / ((c0 - c1) * (c0 - c2))
+        + vals[:, 3:4] / ((c1 - c0) * (c1 - c2))
+        + vals[:, 4:5] / ((c2 - c0) * (c2 - c1))
     )
-    spread = 64 * eps * (np.abs(vals[:, 2]) + np.abs(vals[:, 3]) + np.abs(vals[:, 4]))
-    spread += np.abs(k) * (b - a) ** 2 / 2
-    low = np.minimum(se2[:, 0], se2[:, 1]) - spread
+    spread = 64 * eps * (np.abs(vals[:, 2:3]) + np.abs(vals[:, 3:4]) + np.abs(vals[:, 4:5]))
+    spread = spread + np.abs(k) * (b - a) ** 2 / 2
+    low = np.minimum(se2[:, :n], se2[:, n:]) - spread
     se_lo = np.sqrt(np.where(low > 0, low, np.nan))
-    se_hi = np.sqrt(np.maximum(se2[:, 0], se2[:, 1]) + spread)
+    se_hi = np.sqrt(np.maximum(se2[:, :n], se2[:, n:]) + spread)
     return (
         np.where(lo >= 0, lo / se_hi, lo / se_lo),
         np.where(hi >= 0, hi / se_lo, hi / se_hi),
@@ -358,8 +370,11 @@ def _stat_bounds(vals: np.ndarray, nodes, ends, studentization: str):
 
 
 def _settle(rows: np.ndarray, nodes, ends, studentization: str, sided: str):
-    """(keep, extreme) for a search between `ends`: which rows can change
-    their extreme status there, and how many of the others are extreme.
+    """(keep, extreme) for searches between `ends` = (a, b): which rows can
+    change their extreme status between a and b, and how many of the others
+    are extreme. a and b are arrays of brackets' ends, in either order, and
+    `keep` is then (rows, brackets) with one count per bracket; scalar ends
+    give one keep flag per row and one count.
 
     `rows` holds the observed node values first, then the replicates'. A
     replicate is settled when its bounds (`_stat_bounds`, of |t| if
@@ -367,45 +382,65 @@ def _settle(rows: np.ndarray, nodes, ends, studentization: str, sided: str):
     max(1, |t_obs|), far above _TIE_RTOL. Rows with a non-finite node value
     are never settled, nor is anything when the observed row lacks a bound.
     """
+    a, b = np.atleast_1d(*ends)
     with np.errstate(all="ignore"):  # an overflowed bound still holds; a NaN one settles nothing
-        lo, hi = _stat_bounds(rows, nodes, sorted(ends), studentization)
+        lo, hi = _stat_bounds(rows, nodes, (np.minimum(a, b), np.maximum(a, b)), studentization)
         if sided == "two":
             lo, hi = np.where(lo > 0, lo, np.where(hi < 0, -hi, 0.0)), np.maximum(-lo, hi)
-        margin = _SETTLE_RTOL * np.max(np.abs([1.0, lo[0], hi[0]]))
-        finite = np.isfinite(rows).all(axis=1)
+        margin = _SETTLE_RTOL * np.max(np.abs([np.ones_like(lo[0]), lo[0], hi[0]]), axis=0)
+        finite = np.isfinite(rows).all(axis=1, keepdims=True)
         above = finite & (lo - hi[0] > margin)
         below = finite & (lo[0] - hi > margin)
-    return ~(above | below), int(np.count_nonzero(above))
+    keep, extreme = ~(above | below), np.count_nonzero(above, axis=0)
+    return (keep[:, 0], int(extreme[0])) if np.ndim(ends[0]) == 0 else (keep, extreme)
 
 
-def _boundary(p_at, alpha: float, inside: float, outside: float, tol: float) -> float:
-    """Bisection between an accepted shift `inside` and a rejected shift
-    `outside`: the last accepted midpoint once the bracket is within `tol`,
-    or at float resolution if that comes first.
+def _boundaries(p_at, alpha: float, brackets, tol: float) -> list[float]:
+    """Bisections in lockstep, one per (inside, outside) bracket of an
+    accepted and a rejected shift: each search's last accepted midpoint once
+    its bracket is within `tol`, or at float resolution if that comes first.
 
-    Each round scores, in one `p_at` call, every midpoint that the next
-    `_BISECT_DEPTH` halvings can reach, then walks them as one-at-a-time
+    Each round scores, in one `p_at(shifts, which)` call, every midpoint that
+    the next `_BISECT_DEPTH` halvings of every open search can reach (`which`
+    names each shift's bracket), then walks each search as one-at-a-time
     bisection would: the same midpoints and the same stops.
     """
-    while abs(outside - inside) > tol:
-        # the tree of reachable intervals in heap order: node i's children,
-        # 2i + 1 if its midpoint is accepted and 2i + 2 if not
-        ends, mids = [(inside, outside)], []
-        for node in range(2**_BISECT_DEPTH - 1):
-            a, b = ends[node]
-            mids.append(a + (b - a) / 2)
-            ends += [(mids[-1], b), (a, mids[-1])]
-        accepted = p_at(np.array(mids)) > alpha
-        node = 0
-        for _ in range(_BISECT_DEPTH):
-            mid = mids[node]
-            if abs(outside - inside) <= tol or mid in (inside, outside):
-                return inside
-            if accepted[node]:
-                inside, node = mid, 2 * node + 1
+    searches = [list(bracket) for bracket in brackets]
+    live = [i for i, (inside, outside) in enumerate(searches) if abs(outside - inside) > tol]
+    while live:
+        trees = [_reachable_midpoints(*searches[i]) for i in live]
+        which = np.repeat(live, len(trees[0]))
+        accepted = (p_at(np.concatenate(trees), which) > alpha).reshape(len(live), -1)
+        still = []
+        for i, mids, scores in zip(live, trees, accepted):
+            inside, outside = searches[i]
+            node = 0
+            for _ in range(_BISECT_DEPTH):
+                mid = mids[node]
+                if abs(outside - inside) <= tol or mid in (inside, outside):
+                    break
+                if scores[node]:
+                    inside, node = mid, 2 * node + 1
+                else:
+                    outside, node = mid, 2 * node + 2
             else:
-                outside, node = mid, 2 * node + 2
-    return inside
+                if abs(outside - inside) > tol:
+                    still.append(i)
+            searches[i] = [inside, outside]
+        live = still
+    return [inside for inside, _ in searches]
+
+
+def _reachable_midpoints(inside: float, outside: float) -> np.ndarray:
+    """The midpoints of the tree of intervals that `_BISECT_DEPTH` halvings
+    of (inside, outside) can reach, in heap order: node i's children are
+    2i + 1 if its midpoint is accepted and 2i + 2 if not."""
+    ends, mids = [(inside, outside)], []
+    for node in range(2**_BISECT_DEPTH - 1):
+        a, b = ends[node]
+        mids.append(a + (b - a) / 2)
+        ends += [(mids[-1], b), (a, mids[-1])]
+    return np.array(mids)
 
 
 def invert_ci(
@@ -451,11 +486,14 @@ def invert_ci(
     size. The result carries the p-value of every grid point and flags an
     accepted region that reaches either grid edge.
 
-    Each bisection scores only the observed row and the replicates that can
-    change their extreme status in its bracket. The same interpolation
-    bounds every other replicate's statistic over the bracket clear of the
-    observed one (`_settle`); those are counted once, so each midpoint gets
-    the p-value that scoring every replicate would give.
+    The grid is scanned in blocks of `_GRID_BLOCK` points, and both
+    endpoints are bisected in lockstep (`_boundaries`). Each block and each
+    bisection scores only the observed row and the replicates that can
+    change their extreme status over its span or bracket. The same
+    interpolation bounds every other replicate's statistic there clear of
+    the observed one (`_settle`); those are counted once, so a block that
+    keeps no replicate is not scored at all, and every grid point and
+    midpoint gets the p-value that scoring every replicate would give.
     """
     if spec.studentization != "robust":
         warnings.warn(
@@ -499,17 +537,21 @@ def invert_ci(
     se2 = 2 if spec.studentization == "robust" else 1  # row of the triple
     rows = np.column_stack([at[0, 0], at[2, 0], *at[:, se2]])
 
-    def p_at(shifts, rows=rows, settled=0):
-        t = _stat_at_shift(rows, nodes, shifts, spec.studentization)
-        return _p_value(_count_extreme(t[1:], t[0], sided) + settled, m, exact)
-
-    def boundary(inside, outside):
-        keep, settled = _settle(rows, nodes, (inside, outside), spec.studentization, sided)
-        tol = _BISECT_RTOL * (hi - lo)
-        return _boundary(lambda s: p_at(s, rows[keep], settled), alpha, inside, outside, tol)
-
-    cols = max(1, _GRID_ELEMENTS // m)
-    p_vals = np.concatenate([p_at(points[s : s + cols]) for s in range(0, num, cols)])
+    # the grid in blocks of _GRID_BLOCK points, each settled from its first
+    # point to the next block's, over row chunks that each lead with the
+    # observed row: a block scores only the replicates that it keeps
+    starts = np.arange(0, num, _GRID_BLOCK)
+    spans = (points[starts], points[np.minimum(starts + _GRID_BLOCK, num - 1)])
+    extreme = np.zeros(num, dtype=np.int64)
+    for start in range(1, m + 1, _GRID_ROWS):
+        chunk = np.concatenate([rows[:1], rows[start : start + _GRID_ROWS]])
+        keep, settled = _settle(chunk, nodes, spans, spec.studentization, sided)
+        extreme += np.repeat(settled, _GRID_BLOCK)[:num]
+        for b in np.flatnonzero(keep[1:].any(axis=0)):
+            block = slice(starts[b], starts[b] + _GRID_BLOCK)
+            t = _stat_at_shift(chunk[keep[:, b]], nodes, points[block], spec.studentization)
+            extreme[block] += _count_extreme(t[1:], t[0], sided)
+    p_vals = _p_value(extreme, m, exact)
 
     accepted = p_vals > alpha
     if not accepted.any():
@@ -521,8 +563,25 @@ def invert_ci(
             max_p=float(p_vals[best]),
         )
     first, last = np.flatnonzero(accepted)[[0, -1]]
-    lower = points[0] if first == 0 else boundary(points[first], points[first - 1])
-    upper = points[-1] if last == num - 1 else boundary(points[last], points[last + 1])
+    # an accepted region that reaches a grid edge ends there; each other end
+    # is searched between the outermost accepted point and its rejected neighbour
+    searched = {
+        d: (points[i], points[i + d]) for d, i in ((-1, first), (1, last)) if 0 <= i + d < num
+    }
+    brackets, ends = list(searched.values()), {}
+    if brackets:
+        keep, settled = _settle(rows, nodes, np.transpose(brackets), spec.studentization, sided)
+        near = keep.any(axis=1)  # the rows either search scores, each masked to its own
+        near_rows, keep = rows[near], keep[near][1:]
+
+        def p_at(shifts, which):
+            t = _stat_at_shift(near_rows, nodes, shifts, spec.studentization)
+            count = _count_extreme(t[1:], t[0], sided, keep[:, which]) + settled[which]
+            return _p_value(count, m, exact)
+
+        found = _boundaries(p_at, alpha, brackets, _BISECT_RTOL * (hi - lo))
+        ends = dict(zip(searched, found))
+    lower, upper = ends.get(-1, points[first]), ends.get(1, points[last])
     return CiResult(
         float(lower),
         float(upper),

@@ -10,10 +10,11 @@ observed one in real arithmetic (the complement of the observed assignment
 when N1 = N/2, always in the exact reference set) still counts the same on
 both, because extreme counting treats a relative 1e-9 as a tie.
 
-The boundary searches score only the replicates that are not settled in
-their bracket. A differential test holds them to the search over every
-replicate, and a seeded fuzz checks that no settled replicate changes its
-extreme status anywhere in its bracket.
+The grid scan's blocks and the boundary searches score only the replicates
+that are not settled over their span. Differential tests hold them to the
+scan and the search over every replicate, and a seeded fuzz checks that no
+settled replicate changes its extreme status anywhere in its bracket. A
+work count bounds the replicate values an interval forms.
 
 One evaluator holds the three shifted outcomes and reads the reference set
 once. Differential tests hold it to three single-outcome evaluators, and a
@@ -298,45 +299,70 @@ def _sequential_boundary(p_at, alpha, inside, outside, tol):
     return inside
 
 
+def _sequential_boundaries(p_at, alpha, brackets, tol):
+    # each bracket searched on its own, one midpoint per p_at call
+    return [
+        _sequential_boundary(lambda s, i=i: p_at(s, np.full(s.size, i)), alpha, *bracket, tol)
+        for i, bracket in enumerate(brackets)
+    ]
+
+
 @pytest.mark.parametrize("rtol", [0.0, engine._BISECT_RTOL])
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_boundary_matches_sequential_bisection(seed, rtol):
     rng = gen(seed)
     # p-curves crossing alpha one to three times, searched both ways to a
-    # bracket of rtol times the start's, or to float resolution at rtol 0;
-    # the last search starts 1e300 wide, so at rtol 0 it takes about 85 halvings
+    # bracket of rtol times the narrowest start's, or to float resolution at
+    # rtol 0; the last search starts 1e300 wide, so at rtol 0 it takes about
+    # 85 halvings, and in lockstep with another it outlasts it
     cuts = np.sort(rng.uniform(-1, 1, size=rng.integers(1, 4)))
     wide = np.array([1e290 * rng.uniform(1, 2)])
-    calls = []
+    calls, searches = [], []
     for cut, inside, outside in [(cuts, -1.0, 1.0), (cuts, 1.0, -1.0), (wide, 0.0, 1e300)]:
 
-        def p_at(shifts, cut=cut):
+        def curve(shifts, cut=cut):
             calls.append(shifts.size)
             return np.where(np.searchsorted(cut, shifts) % 2 == 0, 0.5, 0.01)
 
-        if p_at(np.array([inside]))[0] <= ALPHA:
+        if curve(np.array([inside]))[0] <= ALPHA:
             inside, outside = outside, inside
-        tol = rtol * abs(outside - inside)
-        calls.clear()
-        want = _sequential_boundary(p_at, ALPHA, inside, outside, tol)
-        halvings = len(calls)
-        calls.clear()
-        assert engine._boundary(p_at, ALPHA, inside, outside, tol) == want
-        assert len(calls) <= halvings // engine._BISECT_DEPTH + 1
+        searches.append((curve, inside, outside))
+    for group in ([0], [1], [2], [0, 1], [0, 2], [2, 1]):
+        curves = [searches[i][0] for i in group]
+        brackets = [searches[i][1:] for i in group]
+        tol = rtol * min(abs(outside - inside) for inside, outside in brackets)
+        want, halvings = [], []
+        for curve, (inside, outside) in zip(curves, brackets):
+            calls.clear()
+            want.append(_sequential_boundary(curve, ALPHA, inside, outside, tol))
+            halvings.append(len(calls))
+        rounds = []
+
+        def p_at(shifts, which):
+            rounds.append(shifts.size)
+            p = np.empty(shifts.size)
+            for i, curve in enumerate(curves):  # each bracket's shifts on its own curve
+                p[which == i] = curve(shifts[which == i])
+            return p
+
+        assert engine._boundaries(p_at, ALPHA, brackets, tol) == want
+        assert len(rounds) <= max(halvings) // engine._BISECT_DEPTH + 1
 
 
 @pytest.mark.parametrize("name", ["complete-half", "stratified", "exact-half"])
 def test_batched_boundary_matches_sequential_in_invert_ci(name, monkeypatch):
     data, design, r, exact = _case(name)
     batched = invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
-    monkeypatch.setattr(engine, "_boundary", _sequential_boundary)
+    monkeypatch.setattr(engine, "_boundaries", _sequential_boundaries)
     sequential = invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
     assert (batched.lower, batched.upper) == (sequential.lower, sequential.upper)
     np.testing.assert_array_equal(batched.p_values, sequential.p_values)
 
 
-def _settle_nothing(rows, *args):
-    return np.ones(rows.shape[0], dtype=bool), 0
+def _settle_nothing(rows, nodes, ends, *args):
+    # every row kept and none counted, for every bracket
+    brackets = np.shape(ends[0])
+    return np.ones((rows.shape[0], *brackets), dtype=bool), np.zeros(brackets, dtype=np.int64)
 
 
 def _interval(data, spec, design, r, exact, sided, grid):
@@ -375,6 +401,90 @@ def test_pruned_search_matches_full_search(name, sided, monkeypatch):
             assert pruned == full, (spec.label, grid)
     assert min(kept) < 0.5  # every case settles most replicates in some bracket
     assert all(nan_rows)
+
+
+def _wide_grid(data, design, num):
+    # `_grid`'s span, three Wald widths, widened to seven like the default's
+    lo, hi, _ = _grid(data, design)
+    width = (hi - lo) / 3
+    return (lo - 2 * width, hi + 2 * width, num)
+
+
+@pytest.mark.parametrize(
+    "num, grid_rows", [(num, engine._GRID_ROWS) for num in (2, 15, 31, 32, 33, 201)] + [(201, 40)]
+)
+def test_blockwise_scan_matches_full_scan(num, grid_rows, monkeypatch):
+    # a grid block in which no replicate can change its extreme status takes
+    # the p-value of its settled count; scoring every block on every
+    # replicate must give the same interval bit for bit, in one row chunk or
+    # in several (the cases have 100 to 495 replicates)
+    monkeypatch.setattr(engine, "_GRID_ROWS", grid_rows)
+    settle = engine._settle
+    scans = []
+
+    def recording(rows, nodes, ends, *args):
+        keep, extreme = settle(rows, nodes, ends, *args)
+        scans.append(keep[1:].any(axis=0))  # per bracket, whether it scores any replicate
+        return keep, extreme
+
+    blocks = {True: 0, False: 0}
+    for name in ["complete-unbalanced", "stratified", "exact-unbalanced", "nan-replicates"]:
+        data, design, r, exact = _case(name)
+        grid = _wide_grid(data, design, num)
+        for spec in ALL_SPECS:
+            for sided in engine._SIDES:
+                scans.clear()
+                monkeypatch.setattr(engine, "_settle", recording)
+                blockwise = _interval(data, spec, design, r, exact, sided, grid)
+                monkeypatch.setattr(engine, "_settle", _settle_nothing)
+                full = _interval(data, spec, design, r, exact, sided, grid)
+                assert blockwise == full, (name, spec.label, sided)
+                scanned = scans[0]  # the grid scan settles first, a chunk at a time
+                assert scanned.size == -(-num // engine._GRID_BLOCK)
+                blocks[True] += np.count_nonzero(scanned)
+                blocks[False] += np.count_nonzero(~scanned)
+    assert blocks[True] > 0
+    if num > engine._GRID_BLOCK:
+        assert blocks[False] > 0
+
+
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_one_search_across_a_block_boundary(end, monkeypatch):
+    # one end of the accepted region reaches a grid edge, so one search
+    # runs, and its bracket joins the last point of one grid block to the
+    # first of the next
+    data, design, r, exact = _case("complete-unbalanced")
+    res = invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17)
+    block = engine._GRID_BLOCK
+    if end == "lower":
+        step = (res.upper - res.lower) / 20
+        lo = res.lower - (block - 0.5) * step
+        grid = (lo, lo + 49 * step, 50)
+    else:
+        step = (res.upper - res.lower) / 80
+        lo = res.upper - (2 * block - 0.5) * step
+        grid = (lo, lo + 69 * step, 70)
+    searched = []
+    boundaries = engine._boundaries
+
+    def recording(p_at, alpha, brackets, tol):
+        searched.append(len(brackets))
+        return boundaries(p_at, alpha, brackets, tol)
+
+    monkeypatch.setattr(engine, "_boundaries", recording)
+    got = _interval(data, L_ROBUST, design, r, exact, "two", grid)
+    monkeypatch.setattr(engine, "_settle", _settle_nothing)
+    assert got == _interval(data, L_ROBUST, design, r, exact, "two", grid)
+    assert searched == [1, 1]
+    accepted = np.flatnonzero(np.frombuffer(got[2]) > ALPHA)
+    lower, upper, _, lower_at_edge, upper_at_edge = got
+    if end == "lower":
+        assert accepted[0] == block and upper_at_edge and not lower_at_edge
+        assert upper == grid[1]
+    else:
+        assert accepted[-1] == 2 * block - 1 and lower_at_edge and not upper_at_edge
+        assert lower == grid[0]
+    assert accepted.size == accepted[-1] - accepted[0] + 1
 
 
 def _bisection_shifts(rng, inside, outside):
@@ -492,6 +602,28 @@ def test_settled_replicates_keep_their_status_in_the_bracket(sided, studentizati
     assert flipping_total > 0.05 * 750 * 64
 
 
+@pytest.mark.parametrize("studentization", ["robust", "none"])
+@pytest.mark.parametrize("sided", engine._SIDES)
+def test_settle_over_many_brackets_equals_one_call_each(sided, studentization):
+    # the trial's bracket, brackets 1e-8 to 1 times the nodes' span anywhere
+    # between them in either order, and a bracket of one shift
+    rng = gen(1609)
+    for _ in range(200):
+        rows, nodes, ends = _settle_trial(rng, studentization)
+        lo, _, hi = nodes
+        a = rng.uniform(lo, hi, size=6)
+        b = a + rng.choice([-1, 1], size=6) * (hi - lo) * 10.0 ** rng.uniform(-8, 0, size=6)
+        shift = rng.uniform(lo, hi)
+        a = np.array([ends[0], *a, shift])
+        b = np.array([ends[1], *np.clip(b, lo, hi), shift])
+        keep, extreme = engine._settle(rows, nodes, (a, b), studentization, sided)
+        assert keep.shape == (rows.shape[0], a.size) and extreme.shape == (a.size,)
+        for j in range(a.size):
+            one_keep, one_extreme = engine._settle(rows, nodes, (a[j], b[j]), studentization, sided)
+            np.testing.assert_array_equal(keep[:, j], one_keep)
+            assert extreme[j] == one_extreme
+
+
 def test_squared_se_lost_to_cancellation_is_not_settled():
     # the quadratic (c - 0.3)^2 through nodes 0.1, 0.55 and 1 reads about
     # 1e-18 just right of 0.3, below the rounding of its interpolation, so
@@ -514,6 +646,26 @@ def test_squared_se_lost_to_cancellation_is_not_settled():
         keep, _ = engine._settle(rows, nodes, (a, b), "robust", "two")
         assert keep[1] or status.min() == status.max()
     assert flips > 50
+
+
+def test_interval_scores_a_fraction_of_the_replicate_values(monkeypatch):
+    # a work count, not a timing: on a default-grid l:robust interval shaped
+    # like the benchmark's (N=200, J=2, R=500), the grid scan and both
+    # searches form few of the R x 201 replicate values a full scan would
+    stat_at_shift = engine._stat_at_shift
+    formed = []
+
+    def counted(vals, nodes, c, studentization):
+        formed.append((vals.shape[0] - 1) * c.size)  # the observed row is no replicate
+        return stat_at_shift(vals, nodes, c, studentization)
+
+    monkeypatch.setattr(engine, "_stat_at_shift", counted)
+    for seed in range(3):
+        formed.clear()
+        res = invert_ci(_complete(2700 + seed, 200, 100), L_ROBUST, 0.05, CompleteDesign(200, 100),
+                        r=500, seed=seed)
+        assert not (res.lower_at_edge or res.upper_at_edge)
+        assert sum(formed) <= 0.35 * 500 * 201, sum(formed)
 
 
 # -- one pass over the reference set for the three nodes ----------------------

@@ -444,6 +444,8 @@ def test_an_observed_assignment_without_a_fit_is_rank_deficient(stat):
         estimate(data, stat)
     with pytest.raises(RankDeficient):
         frt_p_value(data, spec, design, r=50, seed=3)
+    with pytest.raises(RankDeficient):  # alongside a statistic that has a fit
+        frt_p_values(data, [StatisticSpec("n", "robust"), spec], design, r=50, seed=3)
     for grid in (None, (-5.0, 5.0, 21)):
         with pytest.raises(RankDeficient):
             invert_ci(data, spec, 0.05, design, r=50, seed=3, grid=grid)
