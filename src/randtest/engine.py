@@ -71,13 +71,13 @@ _GRID_BLOCK = 32
 # Replicates per chunk of the CI grid scan: a block's float64 temporaries
 # stay near 256 KB however large the reference set.
 _GRID_ROWS = 1024
-# Halvings whose midpoints one CI boundary round scores at once.
-_BISECT_DEPTH = 4
-# Bracket, relative to the grid span, at which a CI boundary search stops.
-# Node values move in their last bits with the evaluator's row blocks and
-# BLAS threads; at float resolution the endpoint would move with them, but
-# at this depth only a crossing within rounding of a midpoint can move it.
-_BISECT_RTOL = 2.0**-36
+# Steps of the uniform sub-grid that each CI boundary round scores.
+_REFINE_STEPS = 16
+# Sub-grid step, relative to the grid span, at which CI boundary refinement
+# stops. Node values move in their last bits with the evaluator's row blocks
+# and BLAS threads; at float resolution the endpoint would move with them,
+# but at this step only a crossing within rounding of a shift can move it.
+_REFINE_RTOL = 2.0**-36
 # Gap, relative to max(1, |t_obs|), by which a replicate must clear the
 # observed statistic over a bracket to skip its boundary search (`_settle`).
 _SETTLE_RTOL = 1e-6
@@ -112,9 +112,10 @@ class CiResult:
     """Confidence interval from test inversion over a fixed grid.
 
     `lower` / `upper` bound the accepted region, located between grid points
-    by bisection to within 2**-36 of the grid span (hi - lo). At that depth
-    they do not read the last bits of the node evaluations, so they do not
-    move with the evaluator's row-block size or the BLAS thread count.
+    by refinement over ever finer uniform sub-grids, to a sub-grid step of
+    2**-36 of the grid span (hi - lo) or less. At that step they do not read
+    the last bits of the node evaluations, so they do not move with the
+    evaluator's row-block size or the BLAS thread count.
     `grid` is (lo, hi, step); `points` and `p_values` are the tested grid
     shifts and their p-values. `lower_at_edge` / `upper_at_edge` flag an
     accepted region that reaches the first / last grid point, where the
@@ -281,8 +282,8 @@ def frt_p_values(
 
 def wald_ci(triple: EstimateTriple, alpha: float) -> tuple[float, float]:
     """Normal-approximation interval around the estimate, robust SE."""
-    if not 0 < alpha < 1:
-        raise InvariantViolation(f"alpha must be in (0,1), got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and 0 < alpha < 1):
+        raise InvariantViolation(f"alpha must be a number in (0,1), got {alpha!r}")
     if not triple.se_robust > 0:
         raise ZeroSe("robust standard error must be positive for a Wald interval")
     from statistics import NormalDist  # lazily: only intervals need it
@@ -370,11 +371,10 @@ def _stat_bounds(vals: np.ndarray, nodes, ends, studentization: str):
 
 
 def _settle(rows: np.ndarray, nodes, ends, studentization: str, sided: str):
-    """(keep, extreme) for searches between `ends` = (a, b): which rows can
-    change their extreme status between a and b, and how many of the others
-    are extreme. a and b are arrays of brackets' ends, in either order, and
-    `keep` is then (rows, brackets) with one count per bracket; scalar ends
-    give one keep flag per row and one count.
+    """(keep, extreme) for searches between `ends` = (a, b), two arrays of
+    brackets' ends in either order: which rows can change their extreme
+    status in each bracket, (rows, brackets), and how many of the others are
+    extreme, one count per bracket.
 
     `rows` holds the observed node values first, then the replicates'. A
     replicate is settled when its bounds (`_stat_bounds`, of |t| if
@@ -382,7 +382,7 @@ def _settle(rows: np.ndarray, nodes, ends, studentization: str, sided: str):
     max(1, |t_obs|), far above _TIE_RTOL. Rows with a non-finite node value
     are never settled, nor is anything when the observed row lacks a bound.
     """
-    a, b = np.atleast_1d(*ends)
+    a, b = ends
     with np.errstate(all="ignore"):  # an overflowed bound still holds; a NaN one settles nothing
         lo, hi = _stat_bounds(rows, nodes, (np.minimum(a, b), np.maximum(a, b)), studentization)
         if sided == "two":
@@ -391,56 +391,27 @@ def _settle(rows: np.ndarray, nodes, ends, studentization: str, sided: str):
         finite = np.isfinite(rows).all(axis=1, keepdims=True)
         above = finite & (lo - hi[0] > margin)
         below = finite & (lo[0] - hi > margin)
-    keep, extreme = ~(above | below), np.count_nonzero(above, axis=0)
-    return (keep[:, 0], int(extreme[0])) if np.ndim(ends[0]) == 0 else (keep, extreme)
+    return ~(above | below), np.count_nonzero(above, axis=0)
 
 
-def _boundaries(p_at, alpha: float, brackets, tol: float) -> list[float]:
-    """Bisections in lockstep, one per (inside, outside) bracket of an
-    accepted and a rejected shift: each search's last accepted midpoint once
-    its bracket is within `tol`, or at float resolution if that comes first.
-
-    Each round scores, in one `p_at(shifts, which)` call, every midpoint that
-    the next `_BISECT_DEPTH` halvings of every open search can reach (`which`
-    names each shift's bracket), then walks each search as one-at-a-time
-    bisection would: the same midpoints and the same stops.
+def _boundaries(p_at, alpha: float, a: np.ndarray, b: np.ndarray, width: float, tol: float):
+    """Lockstep refinement of brackets (a, b) of an accepted shift a and a
+    rejected shift b, each `width` wide: each round scores the
+    `_REFINE_STEPS` + 1 evenly spaced shifts from a to b of every bracket in
+    one `p_at` call on a (brackets, shifts) array, and takes each bracket to
+    its first rejected shift and the accepted one before it. Rounds go on
+    while the width, a `_REFINE_STEPS`-th of the last, is above `tol`; the
+    result is each bracket's accepted end.
     """
-    searches = [list(bracket) for bracket in brackets]
-    live = [i for i, (inside, outside) in enumerate(searches) if abs(outside - inside) > tol]
-    while live:
-        trees = [_reachable_midpoints(*searches[i]) for i in live]
-        which = np.repeat(live, len(trees[0]))
-        accepted = (p_at(np.concatenate(trees), which) > alpha).reshape(len(live), -1)
-        still = []
-        for i, mids, scores in zip(live, trees, accepted):
-            inside, outside = searches[i]
-            node = 0
-            for _ in range(_BISECT_DEPTH):
-                mid = mids[node]
-                if abs(outside - inside) <= tol or mid in (inside, outside):
-                    break
-                if scores[node]:
-                    inside, node = mid, 2 * node + 1
-                else:
-                    outside, node = mid, 2 * node + 2
-            else:
-                if abs(outside - inside) > tol:
-                    still.append(i)
-            searches[i] = [inside, outside]
-        live = still
-    return [inside for inside, _ in searches]
-
-
-def _reachable_midpoints(inside: float, outside: float) -> np.ndarray:
-    """The midpoints of the tree of intervals that `_BISECT_DEPTH` halvings
-    of (inside, outside) can reach, in heap order: node i's children are
-    2i + 1 if its midpoint is accepted and 2i + 2 if not."""
-    ends, mids = [(inside, outside)], []
-    for node in range(2**_BISECT_DEPTH - 1):
-        a, b = ends[node]
-        mids.append(a + (b - a) / 2)
-        ends += [(mids[-1], b), (a, mids[-1])]
-    return np.array(mids)
+    brackets, fractions = np.arange(len(a)), np.linspace(0, 1, _REFINE_STEPS + 1)
+    while width > tol:
+        # np.linspace(a, b, _REFINE_STEPS + 1, axis=1) without its per-call overhead
+        shifts = a[:, None] + (b - a)[:, None] * fractions
+        shifts[:, -1] = b
+        out = 1 + np.argmax(p_at(shifts)[:, 1:] <= alpha, axis=1)  # the first rejected
+        a, b = shifts[brackets, out - 1], shifts[brackets, out]
+        width /= _REFINE_STEPS
+    return a
 
 
 def invert_ci(
@@ -463,13 +434,15 @@ def invert_ci(
     cluster design, where it holds the treated clusters' scaled sizes. All
     grid points share one set of reference assignments, so the acceptance
     region boundary is stable. The interval ends where the acceptance region
-    ends: each endpoint is the last accepted shift of a bisection between the
-    outermost non-rejected grid point and its rejected neighbour, so it
-    carries no grid error. The bisection stops once its bracket is within
-    2**-36 of the grid span (`_BISECT_RTOL`): the endpoint is exact to that
-    width, and it does not depend on the evaluator's row blocks or the BLAS
-    thread count, which move node values in their last bits. An accepted
-    region that reaches a grid edge ends there.
+    ends. Each endpoint is refined between the outermost non-rejected grid
+    point and its rejected neighbour: each round scores `_REFINE_STEPS` + 1
+    evenly spaced shifts across the bracket and keeps the first rejected one
+    and the accepted one before it, so the endpoint carries no grid error.
+    Refinement stops once the sub-grid step is within 2**-36 of the grid
+    span (`_REFINE_RTOL`): the endpoint is exact to that width, and it does
+    not depend on the evaluator's row blocks or the BLAS thread count, which
+    move node values in their last bits. An accepted region that reaches a
+    grid edge ends there.
 
     The default grid spans the Wald interval with three widths of margin on
     each side. Its estimate comes from a one-row evaluation of the observed
@@ -487,13 +460,13 @@ def invert_ci(
     accepted region that reaches either grid edge.
 
     The grid is scanned in blocks of `_GRID_BLOCK` points, and both
-    endpoints are bisected in lockstep (`_boundaries`). Each block and each
-    bisection scores only the observed row and the replicates that can
-    change their extreme status over its span or bracket. The same
+    endpoints are refined in lockstep, one pass per round (`_boundaries`).
+    Each block and each bracket scores only the observed row and the
+    replicates that can change their extreme status over its span. The same
     interpolation bounds every other replicate's statistic there clear of
     the observed one (`_settle`); those are counted once, so a block that
     keeps no replicate is not scored at all, and every grid point and
-    midpoint gets the p-value that scoring every replicate would give.
+    sub-grid shift gets the p-value that scoring every replicate would give.
     """
     if spec.studentization != "robust":
         warnings.warn(
@@ -564,22 +537,23 @@ def invert_ci(
         )
     first, last = np.flatnonzero(accepted)[[0, -1]]
     # an accepted region that reaches a grid edge ends there; each other end
-    # is searched between the outermost accepted point and its rejected neighbour
-    searched = {
-        d: (points[i], points[i + d]) for d, i in ((-1, first), (1, last)) if 0 <= i + d < num
-    }
-    brackets, ends = list(searched.values()), {}
-    if brackets:
-        keep, settled = _settle(rows, nodes, np.transpose(brackets), spec.studentization, sided)
+    # is refined between the outermost accepted point and its rejected neighbour
+    searched = {d: i for d, i in ((-1, first), (1, last)) if 0 <= i + d < num}
+    ends = {}
+    if searched:
+        inside = np.array(list(searched.values()))
+        a, b = points[inside], points[inside + list(searched)]
+        keep, settled = _settle(rows, nodes, (a, b), spec.studentization, sided)
         near = keep.any(axis=1)  # the rows either search scores, each masked to its own
-        near_rows, keep = rows[near], keep[near][1:]
+        near_rows = rows[near]
+        keep = np.repeat(keep[near][1:], _REFINE_STEPS + 1, axis=1)
 
-        def p_at(shifts, which):
-            t = _stat_at_shift(near_rows, nodes, shifts, spec.studentization)
-            count = _count_extreme(t[1:], t[0], sided, keep[:, which]) + settled[which]
-            return _p_value(count, m, exact)
+        def p_at(shifts):
+            t = _stat_at_shift(near_rows, nodes, shifts.ravel(), spec.studentization)
+            count = _count_extreme(t[1:], t[0], sided, keep).reshape(shifts.shape)
+            return _p_value(count + settled[:, None], m, exact)
 
-        found = _boundaries(p_at, alpha, brackets, _BISECT_RTOL * (hi - lo))
+        found = _boundaries(p_at, alpha, a, b, step, _REFINE_RTOL * (hi - lo))
         ends = dict(zip(searched, found))
     lower, upper = ends.get(-1, points[first]), ends.get(1, points[last])
     return CiResult(

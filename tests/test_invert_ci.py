@@ -10,11 +10,17 @@ observed one in real arithmetic (the complement of the observed assignment
 when N1 = N/2, always in the exact reference set) still counts the same on
 both, because extreme counting treats a relative 1e-9 as a tie.
 
-The grid scan's blocks and the boundary searches score only the replicates
-that are not settled over their span. Differential tests hold them to the
-scan and the search over every replicate, and a seeded fuzz checks that no
-settled replicate changes its extreme status anywhere in its bracket. A
-work count bounds the replicate values an interval forms.
+Each endpoint is refined between its grid bracket's ends over ever finer
+uniform sub-grids, both endpoints in lockstep. On synthetic p-curves, the
+lockstep refinement must equal each bracket refined alone, end on an
+accepted shift whose next sub-grid shift out is rejected, and take the
+rounds its stop rule sets.
+
+The grid scan's blocks and the boundary refinements score only the
+replicates that are not settled over their span. Differential tests hold
+them to the scan and the refinement over every replicate, and a seeded fuzz
+checks that no settled replicate changes its extreme status anywhere in its
+bracket. A work count bounds the replicate values an interval forms.
 
 One evaluator holds the three shifted outcomes and reads the reference set
 once. Differential tests hold it to three single-outcome evaluators, and a
@@ -22,6 +28,7 @@ counting test to one build and one pass over the reference set, after the
 one-row pass that gives the Wald interval its estimate.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -286,77 +293,64 @@ def test_zero_replicates_rejected(chunk_rows, small_blocks):
         frt_p_value(data, L_ROBUST, design, r=0, seed=1)
 
 
-def _sequential_boundary(p_at, alpha, inside, outside, tol):
-    # one midpoint per p_at call: the search the batched one must reproduce
-    while abs(outside - inside) > tol:
-        mid = inside + (outside - inside) / 2
-        if mid in (inside, outside):
-            break
-        if p_at(np.array([mid]))[0] > alpha:
-            inside = mid
-        else:
-            outside = mid
-    return inside
+def _sub_grid_curve(cut, parity):
+    """A p-curve that crosses alpha at each of the sorted `cut` shifts and
+    accepts where the number of cuts below the shift has the given parity."""
+    return lambda shifts: np.where(np.searchsorted(cut, shifts) % 2 == parity, 0.5, 0.01)
 
 
-def _sequential_boundaries(p_at, alpha, brackets, tol):
-    # each bracket searched on its own, one midpoint per p_at call
-    return [
-        _sequential_boundary(lambda s, i=i: p_at(s, np.full(s.size, i)), alpha, *bracket, tol)
-        for i, bracket in enumerate(brackets)
-    ]
-
-
-@pytest.mark.parametrize("rtol", [0.0, engine._BISECT_RTOL])
+@pytest.mark.parametrize("rtol", [engine._REFINE_RTOL, 3e-31])
 @pytest.mark.parametrize("seed", range(8))
-def test_batched_boundary_matches_sequential_bisection(seed, rtol):
+def test_lockstep_refinement_matches_each_bracket_alone(seed, rtol):
     rng = gen(seed)
-    # p-curves crossing alpha one to three times, searched both ways to a
-    # bracket of rtol times the narrowest start's, or to float resolution at
-    # rtol 0; the last search starts 1e300 wide, so at rtol 0 it takes about
-    # 85 halvings, and in lockstep with another it outlasts it
-    cuts = np.sort(rng.uniform(-1, 1, size=rng.integers(1, 4)))
+    # p-curves crossing alpha once or three times, refined both ways to a
+    # sub-grid step of rtol times the width, which at 3e-31 is below float
+    # resolution; the last bracket is 1e300 wide and is refined to the same
+    # relative step, in lockstep with a bracket 1e300 times narrower
+    cuts = np.sort(rng.uniform(-1, 1, size=rng.choice([1, 3])))
     wide = np.array([1e290 * rng.uniform(1, 2)])
-    calls, searches = [], []
-    for cut, inside, outside in [(cuts, -1.0, 1.0), (cuts, 1.0, -1.0), (wide, 0.0, 1e300)]:
-
-        def curve(shifts, cut=cut):
-            calls.append(shifts.size)
-            return np.where(np.searchsorted(cut, shifts) % 2 == 0, 0.5, 0.01)
-
-        if curve(np.array([inside]))[0] <= ALPHA:
-            inside, outside = outside, inside
-        searches.append((curve, inside, outside))
+    brackets = [
+        (_sub_grid_curve(cuts, 0), -1.0, 1.0),
+        (_sub_grid_curve(cuts, 1), 1.0, -1.0),
+        (_sub_grid_curve(wide, 0), 0.0, 1e300),
+    ]
+    for curve, inside, outside in brackets:
+        assert curve(np.array([inside]))[0] > ALPHA >= curve(np.array([outside]))[0]
     for group in ([0], [1], [2], [0, 1], [0, 2], [2, 1]):
-        curves = [searches[i][0] for i in group]
-        brackets = [searches[i][1:] for i in group]
-        tol = rtol * min(abs(outside - inside) for inside, outside in brackets)
-        want, halvings = [], []
-        for curve, (inside, outside) in zip(curves, brackets):
-            calls.clear()
-            want.append(_sequential_boundary(curve, ALPHA, inside, outside, tol))
-            halvings.append(len(calls))
-        rounds = []
+        curves = [brackets[i][0] for i in group]
+        a, b = (np.array([brackets[i][k] for i in group]) for k in (1, 2))
+        width = np.max(np.abs(b - a))
+        tol = rtol * width
+        scored = []
 
-        def p_at(shifts, which):
-            rounds.append(shifts.size)
-            p = np.empty(shifts.size)
-            for i, curve in enumerate(curves):  # each bracket's shifts on its own curve
-                p[which == i] = curve(shifts[which == i])
-            return p
+        def p_at(shifts):
+            # each bracket's shifts on its own curve
+            scored.append((shifts, np.stack([f(s) for f, s in zip(curves, shifts)])))
+            return scored[-1][1]
 
-        assert engine._boundaries(p_at, ALPHA, brackets, tol) == want
-        assert len(rounds) <= max(halvings) // engine._BISECT_DEPTH + 1
-
-
-@pytest.mark.parametrize("name", ["complete-half", "stratified", "exact-half"])
-def test_batched_boundary_matches_sequential_in_invert_ci(name, monkeypatch):
-    data, design, r, exact = _case(name)
-    batched = invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
-    monkeypatch.setattr(engine, "_boundaries", _sequential_boundaries)
-    sequential = invert_ci(data, L_ROBUST, ALPHA, design, r=r, seed=17, exact=exact)
-    assert (batched.lower, batched.upper) == (sequential.lower, sequential.upper)
-    np.testing.assert_array_equal(batched.p_values, sequential.p_values)
+        found = engine._boundaries(p_at, ALPHA, a, b, width, tol)
+        assert len(scored) == math.ceil(math.log2(width / tol) / math.log2(engine._REFINE_STEPS))
+        for shifts, _ in scored:  # each round's shifts are np.linspace's, bit for bit
+            want = np.linspace(shifts[:, 0], shifts[:, -1], engine._REFINE_STEPS + 1, axis=1)
+            np.testing.assert_array_equal(shifts, want)
+        # the first round spans the bracket, and each later round's bracket
+        # is the last round's first rejected shift and the accepted one before it
+        np.testing.assert_array_equal(scored[0][0][:, [0, -1]], np.column_stack([a, b]))
+        for (shifts, p), (after, _) in zip(scored, scored[1:]):
+            k = np.argmax(p <= ALPHA, axis=1)
+            assert (p[:, 0] > ALPHA).all() and (k > 0).all()
+            rows = np.arange(k.size)
+            np.testing.assert_array_equal(after[:, 0], shifts[rows, k - 1])
+            np.testing.assert_array_equal(after[:, -1], shifts[rows, k])
+        shifts, p = scored[-1]
+        for j, (curve, end) in enumerate(zip(curves, found)):
+            alone = engine._boundaries(curve, ALPHA, a[j : j + 1], b[j : j + 1], width, tol)
+            assert alone.tolist() == [end]
+            # the endpoint is the accepted sub-grid shift before the first
+            # rejected one, and all of them lie between the bracket's ends
+            k = np.flatnonzero(p[j] <= ALPHA)[0]
+            assert shifts[j, k - 1] == end and p[j, k - 1] > ALPHA
+            assert min(a[j], b[j]) <= shifts[j].min() <= shifts[j].max() <= max(a[j], b[j])
 
 
 def _settle_nothing(rows, nodes, ends, *args):
@@ -467,9 +461,9 @@ def test_one_search_across_a_block_boundary(end, monkeypatch):
     searched = []
     boundaries = engine._boundaries
 
-    def recording(p_at, alpha, brackets, tol):
-        searched.append(len(brackets))
-        return boundaries(p_at, alpha, brackets, tol)
+    def recording(p_at, alpha, a, b, width, tol):
+        searched.append(a.size)
+        return boundaries(p_at, alpha, a, b, width, tol)
 
     monkeypatch.setattr(engine, "_boundaries", recording)
     got = _interval(data, L_ROBUST, design, r, exact, "two", grid)
@@ -487,16 +481,17 @@ def test_one_search_across_a_block_boundary(end, monkeypatch):
     assert accepted.size == accepted[-1] - accepted[0] + 1
 
 
-def _bisection_shifts(rng, inside, outside):
-    """Every midpoint of the first six halvings and of one random 64-halving walk."""
-    mids, ends = [], [(inside, outside)]
-    for a, b in ends[:63]:
-        mids.append(a + (b - a) / 2)
-        ends += [(mids[-1], b), (a, mids[-1])]
-    for _ in range(64):
-        mids.append(inside + (outside - inside) / 2)
-        inside, outside = (mids[-1], outside) if rng.random() < 0.5 else (inside, mids[-1])
-    return mids
+def _refinement_shifts(rng, inside, outside):
+    """Every sub-grid shift of the first two refinement rounds and of one
+    random 16-round walk, which reaches float resolution."""
+    steps = engine._REFINE_STEPS
+    first = np.linspace(inside, outside, steps + 1)
+    shifts = [first, *(np.linspace(a, b, steps + 1) for a, b in zip(first[:-1], first[1:]))]
+    for _ in range(16):
+        shifts.append(np.linspace(inside, outside, steps + 1))
+        k = rng.integers(steps)
+        inside, outside = shifts[-1][k], shifts[-1][k + 1]
+    return np.concatenate(shifts)
 
 
 def _settle_trial(rng, studentization):
@@ -579,17 +574,18 @@ def _settle_trial(rng, studentization):
 @pytest.mark.parametrize("sided", engine._SIDES)
 def test_settled_replicates_keep_their_status_in_the_bracket(sided, studentization):
     # no settled replicate may change its extreme status, as `_stat_at_shift`
-    # and `_count_extreme` decide it, anywhere a search can score it
+    # and `_count_extreme` decide it, anywhere a refinement can score it
     rng = gen(1607)
     settled_total = flipping_total = 0
     for _ in range(750):
         rows, nodes, ends = _settle_trial(rng, studentization)
         inside, outside = ends
-        shifts = np.array([inside, outside, *_bisection_shifts(rng, inside, outside)])
+        shifts = np.array([inside, outside, *_refinement_shifts(rng, inside, outside)])
         shifts = np.concatenate([shifts, rng.uniform(min(ends), max(ends), size=1000)])
         t = engine._stat_at_shift(rows, nodes, shifts, studentization)
         status = engine._count_extreme(t[None, 1:], t[0], sided)  # (replicates, shifts)
-        keep, extreme = engine._settle(rows, nodes, ends, studentization, sided)
+        keep, extreme = engine._settle(rows, nodes, ([inside], [outside]), studentization, sided)
+        keep, extreme = keep[:, 0], extreme[0]
         assert keep[0]
         assert keep[1:][~np.isfinite(rows[1:]).all(axis=1)].all()
         settled = status[~keep[1:]]
@@ -619,9 +615,9 @@ def test_settle_over_many_brackets_equals_one_call_each(sided, studentization):
         keep, extreme = engine._settle(rows, nodes, (a, b), studentization, sided)
         assert keep.shape == (rows.shape[0], a.size) and extreme.shape == (a.size,)
         for j in range(a.size):
-            one_keep, one_extreme = engine._settle(rows, nodes, (a[j], b[j]), studentization, sided)
-            np.testing.assert_array_equal(keep[:, j], one_keep)
-            assert extreme[j] == one_extreme
+            one = engine._settle(rows, nodes, (a[j : j + 1], b[j : j + 1]), studentization, sided)
+            np.testing.assert_array_equal(keep[:, j], one[0][:, 0])
+            assert extreme[j] == one[1][0]
 
 
 def test_squared_se_lost_to_cancellation_is_not_settled():
@@ -643,8 +639,8 @@ def test_squared_se_lost_to_cancellation_is_not_settled():
         t = engine._stat_at_shift(rows, nodes, shifts, "robust")
         status = engine._count_extreme(t[None, 1:], t[0], "two")[0]
         flips += status.min() != status.max()
-        keep, _ = engine._settle(rows, nodes, (a, b), "robust", "two")
-        assert keep[1] or status.min() == status.max()
+        keep, _ = engine._settle(rows, nodes, ([a], [b]), "robust", "two")
+        assert keep[1, 0] or status.min() == status.max()
     assert flips > 50
 
 

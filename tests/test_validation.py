@@ -39,6 +39,7 @@ from randtest import (
     perm_lm_p_value,
     sample_truncated_L,
     stratified_combine,
+    wald_ci,
 )
 from randtest.cli import _error_payload, _replicate_histogram, main
 from conftest import gen, random_dataset
@@ -132,6 +133,22 @@ def test_default_grid_at_a_vanishing_alpha_names_alpha(data):
     res = invert_ci(data, L_ROBUST, 1e-17, design, r=50, seed=3, grid=(-5.0, 5.0, 21))
     assert res.wald_init == (-math.inf, math.inf)
     assert res.lower_at_edge and res.upper_at_edge
+
+
+@pytest.mark.parametrize("alpha", ["0.05", None, [0.05], np.array([0.05]), 1.5, math.nan])
+@pytest.mark.parametrize("grid", [None, (-5.0, 5.0, 21)])
+def test_alpha_that_is_not_a_number_in_the_unit_interval_is_an_invariant_violation(
+    data, alpha, grid
+):
+    design = CompleteDesign(data.n, data.n1)
+    with pytest.raises(InvariantViolation, match="alpha"):
+        invert_ci(data, L_ROBUST, alpha, design, r=50, seed=3, grid=grid)
+    with pytest.raises(InvariantViolation, match="alpha"):
+        wald_ci(EstimateTriple(1.0, 0.5, 0.5), alpha)
+    # a numpy float is a number
+    plain = invert_ci(data, L_ROBUST, 0.05, design, r=50, seed=3, grid=grid)
+    wide = invert_ci(data, L_ROBUST, np.float64(0.05), design, r=50, seed=3, grid=grid)
+    assert (plain.lower, plain.upper) == (wide.lower, wide.upper)
 
 
 def test_grid_count_may_be_a_numpy_integer(data):
