@@ -15,8 +15,10 @@ once, from sums over each assignment's arms:
   and X move only the slopes): c, w = G^-1 (b, e0) with G = sum z u u',
   b = sum z e u, RSS = sum z e^2 - c'b and classic covariance rss/(N-p) times
   w0 summed over arms. Each HC0 numerator sums ((a'v)(b'v))^2 over an arm, a
-  quadratic form in v's pair products; rows whose form cancels past its
-  accuracy (few residual degrees of freedom at high leverage) sum over units.
+  quadratic form in v's pair products: a wide pass sums it one pair row at a
+  time, a narrow one in one product of all its pair-of-pair terms
+  (`_HC0_ELEMENTS`). Rows whose form cancels past its accuracy (few residual
+  degrees of freedom at high leverage) sum over units.
   A row has NaN triples where the reference refit finds no fit: under `f`
   where Z'(I-H)Z vanishes against N p1 (1 - p1) (`_SPAN_TOL`), under `l`
   where an arm's Gram system is singular (`_solve_batch`).
@@ -31,13 +33,14 @@ right-hand side. With one outcome F and the blocks are as they would be alone.
 
 Stratified data are scored in grouped passes; a complete design is the
 one-stratum case. Each stratum keeps its own blocks of rows, sized by its N_k
-and J alone, and forms its own product `F_k' z_k'` per block, so its moments
-are those it would have alone. The blocks of a group of consecutive strata
-are then stacked side by side, each column carrying its stratum's constants
-(N_k, N_k1, sums, weight), and every later step runs once per group: the
-two-group sums, the Gram solves, the HC0 forms and the weighted combine.
-A group grows while its stacked width fits a cache-sized budget, and the
-weighted triples are summed in stratum order.
+and J alone, and forms its own product `F_k' z_k'` per block from its units
+in row-major order, so its moments are those it would have alone, wherever
+its units sit. The blocks of a group of consecutive strata are then stacked
+side by side, each column carrying its stratum's constants (N_k, N_k1, sums,
+weight), and every later step runs once per group: the two-group sums, the
+Gram solves, the HC0 forms and the weighted combine. A group grows while its
+stacked width fits a cache-sized budget, and the weighted triples are summed
+in stratum order.
 """
 
 from __future__ import annotations
@@ -100,8 +103,9 @@ def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for i in range(k):
         pivot = a[i, i].copy()
         a[i] /= np.where(pivot > _PIVOT_TOL * mats[i, i], pivot, np.nan)
-        rest = np.arange(k) != i
-        a[rest] -= a[rest, i, None] * a[i]
+        for j in range(k):
+            if j != i:
+                a[j] -= a[j, i] * a[i]
     return a[:, k:]
 
 
@@ -116,6 +120,12 @@ _ROW_ELEMENTS = 4_000_000
 _COUNT_ELEMENTS = 1 << 17
 # An HC0 form whose terms exceed its value by this factor is summed over units.
 _CANCEL = 1e6
+# A pass whose HC0 quad products per stratum would exceed this many elements
+# sums its quads one pair row at a time (`_row_quad_sums`). A narrower pass
+# forms them in one product: the row loop's many small temporaries made the
+# heap trim and regrow between the narrow passes of an interval inversion,
+# and the page faults cost more than the loop saved.
+_HC0_ELEMENTS = 1 << 16
 
 
 @functools.cache
@@ -145,6 +155,22 @@ def _moment_layout(j: int):
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _row_quad_sums(s: np.ndarray, mom: np.ndarray, quad_cols, qmult) -> np.ndarray:
+    """Per column, the sum over quads q of qmult_q s[q0] s[q1] mom[quad_cols[q]],
+    one pair row r at a time: the quads come in row order (q0 = r, q1 >= r),
+    so row r's sum takes s[r:] and is then scaled by s[r], and the (quads,
+    columns) products are never formed."""
+    out = np.zeros(s.shape[1])
+    start = 0
+    for r in range(len(s)):
+        at = slice(start, start + len(s) - r)
+        inner = np.einsum("ij,ij->j", s[r:] * qmult[at], mom[quad_cols[at]])
+        inner *= s[r]
+        out += inner
+        start = at.stop
+    return out
 
 
 class _Outcome:
@@ -187,6 +213,14 @@ class _Stratum:
         if rest:
             f_cols = np.hstack([f_cols] + [o.v[:, terms[e_terms]].prod(axis=2) for o in rest])
         return f_cols, f_cols.sum(axis=0)
+
+    def units_of(self, zmat: np.ndarray) -> np.ndarray:
+        """This stratum's units of every row of `zmat`, in C order: a view
+        where they are consecutive, else a copy (fancy indexing would return
+        F order), so each block's products run as they would on a view."""
+        if isinstance(self.columns, slice):
+            return zmat[:, self.columns]
+        return np.take(zmat, self.columns, axis=1)
 
     def moments(self, block: np.ndarray) -> np.ndarray:
         """F's column sums over each row's treated arm."""
@@ -352,7 +386,11 @@ class StratifiedEvaluator:
         quad_cols, _, diag_cols = self.tables[i]
         (i0, j0), (q0, q1) = self.pairs, self.quads
         s = (a[i0] * b[j0] + a[j0] * b[i0]) * self.half
-        out = np.einsum("ij,ij->j", s[q0] * s[q1] * self.qmult, p.mom[quad_cols])
+        # the rule reads a stratum's block rows, so grouping moves no bit
+        if 2 * q0.size * p.rows > _HC0_ELEMENTS:
+            out = _row_quad_sums(s, p.mom, quad_cols, self.qmult)
+        else:
+            out = np.einsum("ij,ij->j", s[q0] * s[q1] * self.qmult, p.mom[quad_cols])
         # against a Cauchy-Schwarz bound on the squared sum of |s_p v_p|
         bound = np.einsum("ij,ij->j", np.abs(s), np.sqrt(np.abs(p.mom[diag_cols]))) ** 2
         bad = np.flatnonzero(bound > _CANCEL * out)
@@ -438,7 +476,7 @@ class StratifiedEvaluator:
         out = {a: np.full((self.k, 3, len(zmat)), -0.0) for a in adjustments}
         n1s = iter(self._n1s(zmat, least))
         for parts, step in self._groups(len(zmat)):
-            cols = [zmat[:, part.columns] for part in parts]
+            cols = [part.units_of(zmat) for part in parts]
             table = self._constants(parts, [next(n1s) for _ in parts])
             for s in range(0, len(zmat), step):
                 p = _Pass(self, parts, table, [z[s : s + step] for z in cols], out)

@@ -111,11 +111,10 @@ class _Projection:
         se2_r = self.c**2 * float(self.delta2 @ self.eps_f**2)
         return np.array([[self.tau_f], [se2_c], [se2_r]])
 
-    def replicate_forms(self, perms: np.ndarray, scheme: str, with_se: bool = True):
-        """(coefficient, classic se^2, robust se^2) for each permutation row;
-        both SEs are None unless `with_se`."""
-        vector, total_ss = self.scheme_forms[scheme]
-        vmat = vector[perms]
+    def replicate_forms(self, vmat: np.ndarray, scheme: str, with_se: bool = True):
+        """(coefficient, classic se^2, robust se^2) for each row of `vmat`, a
+        permuted copy of the scheme's vector; both SEs are None unless `with_se`."""
+        total_ss = self.scheme_forms[scheme][1]
         shift = self.c * (vmat @ self.delta)
         coef = self.tau_f + shift if scheme == "terbraak" else shift
         if not with_se:
@@ -134,9 +133,9 @@ class _Projection:
         se2_r = self.c**2 * (eta**2 @ self.delta2)
         return coef, se2_c, se2_r
 
-    def replicate_stats(self, perms: np.ndarray, spec: PermLmSpec) -> np.ndarray:
+    def replicate_stats(self, vmat: np.ndarray, spec: PermLmSpec) -> np.ndarray:
         with_se = spec.studentization != "none"  # an unstudentized test needs no SE
-        coef, se2_c, se2_r = self.replicate_forms(perms, spec.scheme, with_se)
+        coef, se2_c, se2_r = self.replicate_forms(vmat, spec.scheme, with_se)
         center = self.tau_f if spec.scheme == "terbraak" else 0.0
         return _statistic((coef - center, se2_c, se2_r), spec.studentization)
 
@@ -153,7 +152,7 @@ def closed_form_replicates(data: Dataset, permutations: np.ndarray, scheme: str)
     if perms.ndim != 2 or perms.shape[1] != data.n:
         raise DimensionMismatch(f"permutations must be (B, {data.n})")
     prep = _Projection(data)
-    coef, se2_c, se2_r = prep.replicate_forms(perms, scheme)
+    coef, se2_c, se2_r = prep.replicate_forms(prep.scheme_forms[scheme][0][perms], scheme)
     return coef, np.sqrt(np.maximum(se2_c, 0.0)), np.sqrt(np.maximum(se2_r, 0.0))
 
 
@@ -192,12 +191,13 @@ def refit_replicates(data: Dataset, permutations: np.ndarray, scheme: str):
     return out[:, 0], out[:, 1], out[:, 2]
 
 
-def _draw_permutations(n: int, r: int, seed) -> np.ndarray:
-    """R label shuffles drawn chunk by chunk, one stream per chunk."""
-    out = np.empty((r, n), dtype=np.int64)
+def _draw_permuted(vector: np.ndarray, r: int, seed) -> np.ndarray:
+    """R shuffles of `vector` drawn chunk by chunk, one stream per chunk: row
+    i is `vector[perm_i]` for the label shuffle perm_i of that stream."""
+    out = np.empty((r, vector.size))
     for start, stop, rng in _streams(r, seed):
         block = out[start:stop]
-        block[:] = np.arange(n)
+        block[:] = vector
         rng.permuted(block, axis=1, out=block)
     return out
 
@@ -222,9 +222,9 @@ def perm_lm_p_value(
     prep = _Projection(data)
     observed = prep.observed_triple()
     t_obs = float(_statistic(observed, spec.studentization)[0])
-    perms = _draw_permutations(data.n, r, seed)
+    permuted = _draw_permuted(prep.scheme_forms[spec.scheme][0], r, seed)
     step = max(1, _BLOCK_ELEMENTS // data.n)
-    blocks = np.split(perms, range(step, r, step))
+    blocks = np.split(permuted, range(step, r, step))
     vals = np.concatenate([prep.replicate_stats(block, spec) for block in blocks])
     p = _p_value(_count_extreme(vals, t_obs, sided), r, False)
     mc_se = math.sqrt(p * (1 - p) / r)

@@ -448,15 +448,68 @@ def _interleaved(rng, strata):
 def _per_stratum_loop(y, x, strata, zmat, adjustments):
     """The stratified triples as one complete evaluator per stratum, weighted
     w, w^2, w^2 and summed in stratum order; consecutive units are read
-    through a view, as the evaluator reads them."""
+    through a view and others through a C-order copy, as the evaluator
+    reads them."""
     out = dict.fromkeys(adjustments, 0.0)
     for k in range(strata.max() + 1):
         idx, w = np.flatnonzero(strata == k), np.mean(strata == k)
-        cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < idx.size else idx
-        part = CompleteEvaluator(y[..., idx], x[idx]).triples_each(zmat[:, cols], adjustments)
+        if idx[-1] - idx[0] < idx.size:
+            units = zmat[:, idx[0] : idx[-1] + 1]
+        else:
+            units = np.take(zmat, idx, axis=1)
+        part = CompleteEvaluator(y[..., idx], x[idx]).triples_each(units, adjustments)
         for a in adjustments:
             out[a] = out[a] + np.multiply(part[a], [[w], [w**2], [w**2]])
     return out
+
+
+def test_interleaved_strata_score_as_consecutive_ones():
+    # 3 strata of 30 units, interleaved with each stratum's units kept in
+    # order: every stratum reads the same values in the same layout, so every
+    # triple is equal bit for bit to that of the consecutive layout
+    rng = gen(1201)
+    strata = np.repeat(np.arange(3), 30)
+    zmat = StratifiedDesign(strata, ((30, 12), (30, 15), (30, 9))).draw_batch(rng, 400)
+    x = rng.normal(size=(90, 2))
+    y = x @ [1.0, 0.5] + rng.normal(size=90)
+    mixed = _interleaved(rng, strata)
+    order = np.argsort(mixed, kind="stable")  # the consecutive unit at each place
+    y_mixed, x_mixed, zmat_mixed = np.empty_like(y), np.empty_like(x), np.empty_like(zmat)
+    y_mixed[order], x_mixed[order], zmat_mixed[:, order] = y, x, zmat
+    assert not np.array_equal(mixed, strata)
+    want = StratifiedEvaluator(y, x, strata).triples_each(zmat, "nrfl")
+    got = StratifiedEvaluator(y_mixed, x_mixed, mixed).triples_each(zmat_mixed, "nrfl")
+    for a in "nrfl":
+        np.testing.assert_array_equal(got[a], want[a], err_msg=a)
+
+
+def _solve_by_fancy_rows(mats, rhs):
+    """`_solve_batch` with each elimination step updating the other rows
+    through one fancy-indexed copy: its bitwise oracle."""
+    k = mats.shape[0]
+    a = np.concatenate([mats, rhs], axis=1)
+    for i in range(k):
+        pivot = a[i, i].copy()
+        a[i] /= np.where(pivot > _batch._PIVOT_TOL * mats[i, i], pivot, np.nan)
+        rest = np.arange(k) != i
+        a[rest] -= a[rest, i, None] * a[i]
+    return a[:, k:]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_solve_batch_matches_the_fancy_indexed_elimination(k):
+    # random SPD systems, singular ones (a zero last row) and NaN pivots
+    rng = gen(1211 + k)
+    m = rng.normal(size=(k, k + 3, 600))
+    m[-1, :, :20] = 0.0
+    mats = np.einsum("iub,jub->ijb", m, m)
+    mats[0, 0, 20:30] = np.nan
+    rhs = rng.normal(size=(k, 3, 600))
+    got = _batch._solve_batch(mats, rhs)
+    np.testing.assert_array_equal(got, _solve_by_fancy_rows(mats, rhs))
+    assert np.isnan(got[..., :30]).all() and np.isfinite(got[..., 30:]).all()
+    want = np.linalg.solve(mats[..., 30:].transpose(2, 0, 1), rhs[..., 30:].transpose(2, 0, 1))
+    np.testing.assert_allclose(got[..., 30:], want.transpose(1, 2, 0), rtol=1e-8, atol=1e-10)
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 3])
@@ -509,7 +562,9 @@ def test_strat_null_strata_share_one_pass(monkeypatch):
 @pytest.mark.parametrize("kind", ["complete", "stratified", "stratified-3-outcomes"])
 def test_per_unit_hc0_sums_match_the_moment_form(kind, monkeypatch):
     # with _CANCEL at 0 every row's HC0 form is summed over the units of its
-    # own stratum and arm
+    # own stratum and arm; the moment form runs on every pass as a narrow one
+    # (_HC0_ELEMENTS at 2**62) and as a wide one, one pair row at a time
+    # (_HC0_ELEMENTS at 0)
     rng = gen(157)
     n = 45
     strata = np.repeat(np.arange(3), [12, 15, 18])
@@ -523,9 +578,35 @@ def test_per_unit_hc0_sums_match_the_moment_form(kind, monkeypatch):
     else:
         arms = tuple((c, c // 2) for c in np.bincount(strata).tolist())
         zmat = StratifiedDesign(strata, arms).draw_batch(rng, 40)
-    want = make_evaluator(y, x, strata).triples_each(zmat, "fl")
-    monkeypatch.setattr(_batch, "_CANCEL", 0.0)
-    got = make_evaluator(y, x, strata).triples_each(zmat, "fl")
+    wide_passes = []
+    row_quad_sums = _batch._row_quad_sums
+
+    def counted(*args):
+        wide_passes.append(args[1].shape[1])
+        return row_quad_sums(*args)
+
+    monkeypatch.setattr(_batch, "_row_quad_sums", counted)
+
+    def triples(hc0_elements, cancel=_batch._CANCEL):
+        monkeypatch.setattr(_batch, "_HC0_ELEMENTS", hc0_elements)
+        monkeypatch.setattr(_batch, "_CANCEL", cancel)
+        return make_evaluator(y, x, strata).triples_each(zmat, "fl")
+
+    narrow = triples(2**62)
+    assert wide_passes == []
+    wide = triples(0)
+    assert wide_passes  # the wide branch ran
+    got = triples(0, 0.0)
+    # a wide pass whose cancelled columns, and only those, sum over units
+    mixed = triples(0, 3.0)
     for a in "fl":
-        assert not np.array_equal(got[a], want[a]), a  # the per-unit sums ran
-        np.testing.assert_allclose(got[a], want[a], rtol=1e-10, atol=0, err_msg=a)
+        for want in (narrow, wide):
+            assert not np.array_equal(got[a], want[a]), a  # the per-unit sums ran
+            np.testing.assert_allclose(got[a], want[a], rtol=1e-10, atol=0, err_msg=a)
+        # both forms sum the same terms in another order; where the terms
+        # cancel (their Cauchy-Schwarz bound exceeds the form up to 4e4 times
+        # here) rounding moves the last digits, 1.2e-13 at most on this data
+        np.testing.assert_allclose(wide[a], narrow[a], rtol=1e-12, atol=0, err_msg=a)
+        np.testing.assert_allclose(mixed[a], got[a], rtol=1e-10, atol=0, err_msg=a)
+        kept = mixed[a][..., 2, :] == wide[a][..., 2, :]
+        assert kept.any() and not kept.all(), a

@@ -80,10 +80,11 @@ def test_prefix_property_at_default_chunk_size():
 
 def test_permutation_prefix_property(monkeypatch):
     monkeypatch.setattr(engine, "_STREAM_ROWS", 16)
-    short = permlm._draw_permutations(13, 37, seed=4)
-    long = permlm._draw_permutations(13, 3 * 37, seed=4)
+    vector = np.arange(13.0) ** 2
+    short = permlm._draw_permuted(vector, 37, seed=4)
+    long = permlm._draw_permuted(vector, 3 * 37, seed=4)
     np.testing.assert_array_equal(long[:37], short)
-    assert all(np.array_equal(np.sort(row), np.arange(13)) for row in long)
+    assert all(np.array_equal(np.sort(row), vector) for row in long)
 
 
 def test_seed_and_chunk_select_the_stream(monkeypatch):

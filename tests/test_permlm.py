@@ -56,9 +56,9 @@ def test_terbraak_identity_permutation_is_zero():
     # the centered coefficient is C * delta'eps_F, an exactly-orthogonal
     # inner product, so only roundoff of that cancellation can remain
     data = random_dataset(317, n=20, j=1)
-    identity = np.arange(20)[None, :]
-    spec = PermLmSpec("terbraak", "none")
-    stats = _Projection(data).replicate_stats(identity, spec)
+    proj = _Projection(data)
+    unpermuted = proj.scheme_forms["terbraak"][0][None, :]
+    stats = proj.replicate_stats(unpermuted, PermLmSpec("terbraak", "none"))
     assert abs(stats[0]) < 1e-12
 
 
@@ -123,7 +123,8 @@ def test_schemes_are_not_finite_sample_exact():
         proj = _Projection(data)
         t_obs = float(proj.observed_triple()[0, 0])
         for scheme in SCHEMES:
-            stats = proj.replicate_stats(all_perms, PermLmSpec(scheme, "none"))
+            permuted = proj.scheme_forms[scheme][0][all_perms]
+            stats = proj.replicate_stats(permuted, PermLmSpec(scheme, "none"))
             perm_p = float(np.mean(~(np.abs(stats) < abs(t_obs))))
             if abs(perm_p - frt_p) > 1e-12:
                 found[scheme] = True
