@@ -40,7 +40,9 @@ side by side, each column carrying its stratum's constants (N_k, N_k1, sums,
 weight), and every later step runs once per group: the two-group sums, the
 Gram solves, the HC0 forms and the weighted combine. A group grows while its
 stacked width fits a cache-sized budget, and the weighted triples are summed
-in stratum order.
+in stratum order. A group's units are read once, through a view when they are
+already in stratum order, else by one C-order take; that read gives both the
+treated counts, checked before the group's first pass, and every row block.
 """
 
 from __future__ import annotations
@@ -109,15 +111,13 @@ def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return a[:, k:]
 
 
-# Elements of f's and l's widest temporary per block of rows: cache-sized.
+# Elements of f's and l's widest temporary per block of rows, and of the
+# treated counts' int32 copy: cache-sized.
 _MOMENT_ELEMENTS = 1 << 17
 # Elements of the widest temporary of one pass over a group of strata.
 _PASS_ELEMENTS = 1 << 18
 # Reference-set entries per block of rows, bounding the block's float64 copy.
 _ROW_ELEMENTS = 4_000_000
-# Assignment entries whose treated counts are taken at once: the reduction's
-# int32 copy of them stays in cache.
-_COUNT_ELEMENTS = 1 << 17
 # An HC0 form whose terms exceed its value by this factor is summed over units.
 _CANCEL = 1e6
 # A pass whose HC0 quad products per stratum would exceed this many elements
@@ -189,11 +189,11 @@ class _Outcome:
 
 
 class _Stratum:
-    """One stratum: its units (`columns` of an assignment row), its share
-    `weight` of all units and its outcomes' sums over its own units."""
+    """One stratum: its slice `units` of all units in stratum order, its
+    share `weight` of all units and its outcomes' sums over its own units."""
 
-    def __init__(self, ys: np.ndarray, x: np.ndarray, columns, weight: float):
-        self.columns, self.n, self.j, self.weight = columns, x.shape[0], x.shape[1], weight
+    def __init__(self, ys: np.ndarray, x: np.ndarray, units: slice, weight: float):
+        self.units, self.n, self.j, self.weight = units, x.shape[0], x.shape[1], weight
         # Center once: means drop out of every estimator, variances gain accuracy.
         ycs = [row - row.mean() for row in ys]
         self.outcomes = [_Outcome(yc) for yc in ycs]
@@ -213,14 +213,6 @@ class _Stratum:
         if rest:
             f_cols = np.hstack([f_cols] + [o.v[:, terms[e_terms]].prod(axis=2) for o in rest])
         return f_cols, f_cols.sum(axis=0)
-
-    def units_of(self, zmat: np.ndarray) -> np.ndarray:
-        """This stratum's units of every row of `zmat`, in C order: a view
-        where they are consecutive, else a copy (fancy indexing would return
-        F order), so each block's products run as they would on a view."""
-        if isinstance(self.columns, slice):
-            return zmat[:, self.columns]
-        return np.take(zmat, self.columns, axis=1)
 
     def moments(self, block: np.ndarray) -> np.ndarray:
         """F's column sums over each row's treated arm."""
@@ -307,16 +299,15 @@ class StratifiedEvaluator:
         self.shape, self.n, self.j = y.shape[:-1], y.shape[-1], x.shape[1]
         ys = y.reshape(-1, self.n)
         self.k = len(ys)
-        self.parts = []
-        for k in range(int(strata.max()) + 1):
-            idx = np.nonzero(strata == k)[0]
-            # a stratum of consecutive units is read through a view, not a copy
-            cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < idx.size else idx
-            self.parts.append(_Stratum(ys[:, idx], x[idx], cols, idx.size / self.n))
-        # the units in stratum order (None when they already are) and where
-        # each stratum starts in it, for `_n1s`
-        self.order = None if np.all(np.diff(strata) >= 0) else np.argsort(strata, kind="stable")
-        self.starts = np.cumsum([0] + [part.n for part in self.parts[:-1]])
+        # the units in stratum order, None when they already are; each
+        # stratum holds its slice of it
+        order = np.argsort(strata, kind="stable")
+        self.order = None if np.all(np.diff(strata) >= 0) else order
+        self.parts, start = [], 0
+        for size in np.bincount(strata).tolist():
+            idx = order[start : start + size]
+            self.parts.append(_Stratum(ys[:, idx], x[idx], slice(start, start + size), size / self.n))
+            start += size
         if self.j < 1:
             return
         (self.pairs, self.quads, self.half, self.qmult, terms, quad_cols, self.gram_cols,
@@ -442,19 +433,6 @@ class StratifiedEvaluator:
 
     _TRIPLES = {"n": triples_n, "r": triples_r, "f": triples_f, "l": triples_l}
 
-    def _n1s(self, zmat: np.ndarray, least: int) -> list[int]:
-        """Each stratum's checked treated count. The counts of all strata
-        come from one reduction per block of rows, over the units in stratum
-        order."""
-        counts = np.empty((len(zmat), len(self.parts)), dtype=np.int32)
-        step = max(1, _COUNT_ELEMENTS // self.n)
-        for s in range(0, len(zmat), step):
-            block = zmat[s : s + step]
-            if self.order is not None:
-                block = np.take(block, self.order, axis=1)
-            np.add.reduceat(block, self.starts, axis=1, dtype=np.int32, out=counts[s : s + step])
-        return [part.n1(sums, least) for part, sums in zip(self.parts, counts.T)]
-
     def triples(self, zmat: np.ndarray, adjustment: str):
         return self.triples_each(zmat, (adjustment,))[adjustment]
 
@@ -462,11 +440,11 @@ class StratifiedEvaluator:
         """Per adjustment, a (3, B) array of tau, classic se^2 and robust se^2,
         (K, 3, B) for K outcomes.
 
-        Each stratum's treated count is checked once over all rows. This is
-        the one loop over blocks of assignment rows: each stratum's block is
-        cast to float64 once and serves every adjustment and outcome, and
-        the strata of a group are scored in one pass. The weighted triples
-        are summed in stratum order."""
+        Each group of strata is read once for its treated counts, checked
+        over all rows before its first pass, and for its blocks of rows:
+        each stratum's block is cast to float64 once and serves every
+        adjustment and outcome, and the strata of a group are scored in one
+        pass. The weighted triples are summed in stratum order."""
         if zmat.ndim != 2 or zmat.shape[1] != self.n:
             raise DimensionMismatch(f"zmat must be (B, {self.n})")
         if self.j < 1 and set(adjustments) - {"n"}:
@@ -474,12 +452,21 @@ class StratifiedEvaluator:
         least = self.j + 2 if "l" in adjustments else 2
         # -0.0 is the identity of +, so a lone stratum's triples pass unchanged
         out = {a: np.full((self.k, 3, len(zmat)), -0.0) for a in adjustments}
-        n1s = iter(self._n1s(zmat, least))
         for parts, step in self._groups(len(zmat)):
-            cols = [part.units_of(zmat) for part in parts]
-            table = self._constants(parts, [next(n1s) for _ in parts])
+            lo, hi = parts[0].units.start, parts[-1].units.stop
+            # the group's units of every row in stratum order, in C order
+            group = zmat[:, lo:hi] if self.order is None else np.take(zmat, self.order[lo:hi], axis=1)
+            cols = [slice(part.units.start - lo, part.units.stop - lo) for part in parts]
+            counts = np.empty((len(zmat), len(parts)), dtype=np.int32)
+            # the reduction casts its rows to int32: no more of them than a
+            # pass takes, and a cache-sized copy
+            rows = max(1, min(step, _MOMENT_ELEMENTS // (hi - lo)))
+            for s in range(0, len(zmat), rows):
+                np.add.reduceat(group[s : s + rows], [c.start for c in cols], axis=1,
+                                dtype=np.int32, out=counts[s : s + rows])
+            table = self._constants(parts, [part.n1(c, least) for part, c in zip(parts, counts.T)])
             for s in range(0, len(zmat), step):
-                p = _Pass(self, parts, table, [z[s : s + step] for z in cols], out)
+                p = _Pass(self, parts, table, [group[s : s + step, c] for c in cols], out)
                 for a, triples in out.items():
                     weighted = self._TRIPLES[a](self, p)
                     weighted *= p.weights

@@ -82,6 +82,8 @@ class ScenarioConfig:
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise InvalidConfig(f"{name} must be {what}, got {value!r}")
+        if isinstance(self.rem_threshold, bool):
+            raise InvalidConfig(f"rem_threshold must be a number, got {self.rem_threshold!r}")
         for name in ("center", "shared_noise"):
             value = getattr(self, name)
             if not isinstance(value, bool):
@@ -297,7 +299,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def p_histogram(p: np.ndarray) -> np.ndarray:
-    """Counts of p-values in 20 equal bins over (0, 1]."""
+    """Counts of p-values in 20 equal bins [0, 0.05), ..., [0.95, 1]: a
+    p-value of 0.05, rejected at alpha = 0.05, counts in the second."""
     return np.histogram(np.asarray(p), bins=20, range=(0.0, 1.0))[0]
 
 

@@ -202,7 +202,7 @@ def _stratified_rows(bad: dict, interleaved: bool):
 
 
 @pytest.mark.parametrize("interleaved", (False, True))
-@pytest.mark.parametrize("count_rows", (None, 2))
+@pytest.mark.parametrize("small", (False, True))
 @pytest.mark.parametrize("adjustment", "nl")
 @pytest.mark.parametrize(
     "bad, error, message",
@@ -214,15 +214,45 @@ def _stratified_rows(bad: dict, interleaved: bool):
     ],
 )
 def test_treated_counts_name_the_first_bad_stratum(
-    bad, error, message, adjustment, count_rows, interleaved, monkeypatch
+    bad, error, message, adjustment, small, interleaved, monkeypatch
 ):
     # a bad stratum after the first raises, and the first bad one decides
-    # how, also when the rows are counted in blocks of `count_rows`
-    if count_rows:
-        monkeypatch.setattr(_batch, "_COUNT_ELEMENTS", 32 * count_rows)
+    # how, also when the counts span several blocks of rows and groups of
+    # strata, with a bad stratum in a later group than a good one
     ev, zmat = _stratified_rows(bad, interleaved)
+    if small:
+        # blocks of 2 rows, counted and scored, and 2 strata to a group (a
+        # row of a pass at J = 1 is 30 elements wide)
+        monkeypatch.setattr(_batch, "_ROW_ELEMENTS", 16)
+        monkeypatch.setattr(_batch, "_PASS_ELEMENTS", 2 * 2 * 30)
+        assert [(len(parts), step) for parts, step in ev._groups(len(zmat))] == [(2, 2)] * 2
     with pytest.raises(error, match=message):
         ev.triples(zmat, adjustment)
+
+
+def test_each_group_of_strata_is_read_once(monkeypatch):
+    # the strat-null shape, 3 interleaved strata of 169/153/178 units and
+    # 501 rows in one group: one take of the reference set serves the
+    # treated counts and every row block, and consecutive strata take none
+    rng = gen(163)
+    consecutive = np.repeat(np.arange(3), [169, 153, 178])
+    y, x = rng.normal(size=500), rng.normal(size=(500, 2))
+    takes, take = [], np.take
+
+    def counted(a, *args, **kwargs):
+        takes.append(a.shape)
+        return take(a, *args, **kwargs)
+
+    for strata, want in ((_interleaved(rng, consecutive), 1), (consecutive, 0)):
+        arms = tuple((n, n // 5) for n in np.bincount(strata).tolist())
+        zmat = StratifiedDesign(strata, arms).draw_batch(rng, 501)
+        ev = StratifiedEvaluator(y, x, strata)
+        assert len(ev._groups(len(zmat))) == 1
+        takes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "take", counted)
+            ev.triples_each(zmat, "nrfl")
+        assert takes == [zmat.shape] * want
 
 
 # -- differential fuzz: batch triples against the reference refits ----------------
@@ -404,6 +434,23 @@ def test_many_outcomes_peak_memory_stays_within_a_few_pass_temporaries(j, adjust
         tracemalloc.stop()
     outputs = sum(a.nbytes for a in out.values())
     assert peak < outputs + 8 * _batch._MOMENT_ELEMENTS * 8, (peak - outputs) / 2**20
+
+
+def test_exact_treated_counts_stay_below_an_int32_copy():
+    # all 48,620 rows of N = 18, N1 = 9, J = 2: the counts' reduction casts
+    # its rows to int32 a block at a time, so the traced peak beyond the
+    # outputs stays below one int32 copy of the reference set
+    rng = gen(167)
+    zmat = CompleteDesign(18, 9).enumerate()
+    ev = CompleteEvaluator(rng.normal(size=18), rng.normal(size=(18, 2)))
+    tracemalloc.start()
+    try:
+        out = ev.triples_each(zmat, "n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zmat.shape == (48_620, 18) and zmat.dtype == np.uint8
+    assert peak - out["n"].nbytes < zmat.size * 4, (peak - out["n"].nbytes) / 2**20
 
 
 def _stat_matrix_peak(rng, sizes, interleaved, rows):

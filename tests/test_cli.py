@@ -750,6 +750,7 @@ def test_simulate_invalid_utf8_config(tmp_path, capsysbinary):
         {"treated": {"poly": [0.0]}},
         {"treated": {"poly": [], "sd": 1.0}},
         {"design_kind": "stratified", "stratum_cutoffs": [0.5, -0.5, 0.0]},
+        {"design_kind": "rem", "rem_threshold": True},
     ],
 )
 def test_simulate_malformed_config_is_a_json_error(fields, tmp_path, capsysbinary):

@@ -779,8 +779,10 @@ def test_invert_ci_reads_the_reference_set_once(name, monkeypatch, small_blocks)
     assert len(builds) == 2
     assert passes == [(1, adata.n), (1 + (adesign.count() if exact else r), adata.n)]
     for build, read, least in ((builds[0], rows[:1], 1), (builds[1], rows, 3)):
+        # the units in stratum order, of which each stratum holds a slice
+        order = np.arange(adata.n) if build.order is None else build.order
         for part in build.parts:
             mine = [block for owner, block in blocks if owner is part]
             assert len(mine) >= least
-            np.testing.assert_array_equal(np.concatenate(mine), read[:, part.columns])
+            np.testing.assert_array_equal(np.concatenate(mine), read[:, order[part.units]])
     assert {id(owner) for owner, _ in blocks} == {id(p) for b in builds for p in b.parts}

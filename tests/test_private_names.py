@@ -1,6 +1,7 @@
 """Every private module-level function, class and constant of the package is
-used somewhere in the package: one that only its own definition names, or
-only the tests, is dead code."""
+used somewhere in the package, and so is every method of a private class and
+every attribute the package stores on `self`: one that only its own
+definition names, or only the tests, is dead code."""
 
 import ast
 from collections import Counter
@@ -47,3 +48,44 @@ def test_every_private_module_level_name_is_used_in_the_package():
         if d.startswith("_") and not d.endswith("__") and readers[d] == (d in reads)
     ]
     assert unused == []
+
+
+def _members(tree) -> list[tuple[int, str]]:
+    """(line, name) of each method of a private class, but dunders, and of
+    each attribute assigned to `self`."""
+    members = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            members += [
+                (f.lineno, f.name)
+                for f in node.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not f.name.endswith("__")
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            members.append((node.lineno, node.attr))
+    return members
+
+
+def test_every_private_method_and_stored_attribute_is_read_in_the_package():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    # attributes read, and names spelled out as strings for `getattr`
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [
+        f"{name}:{line} {member}"
+        for name, tree in modules.items()
+        for line, member in _members(tree)
+        if member not in read
+    ]
+    assert unread == []

@@ -459,6 +459,8 @@ def test_config_rejects_unknown_fields():
         {"center": "no"},
         {"shared_noise": "false"},
         {"shared_noise": 0},
+        {"rem_threshold": True},
+        {"design_kind": "rem", "rem_threshold": True},
     ],
 )
 def test_config_rejects_malformed_fields(fields):
@@ -495,4 +497,6 @@ def test_p_histogram():
     expected = np.zeros(20, dtype=np.int64)
     expected[[0, 10, 19]] = 1  # bins [0, 0.05), [0.5, 0.55), [0.95, 1]
     np.testing.assert_array_equal(counts, expected)
+    # p = 10/200, rejected at alpha = 0.05, falls in the second bin
+    assert p_histogram(np.array([10 / 200]))[1] == 1
     assert p_histogram(np.linspace(0.01, 0.99, 40)).sum() == 40
