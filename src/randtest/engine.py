@@ -3,7 +3,8 @@
 Computes Fisher randomization test p-values, exactly (full enumeration of
 the assignment space) or by Monte Carlo, for any statistic in `estimators`
 under complete, cluster, stratified, and rerandomized designs, and inverts
-the test over a grid of constant-effect nulls into a confidence interval.
+the test over a grid of constant-effect nulls into a confidence interval,
+from polynomial coefficients about the grid's midpoint (`invert_ci`).
 
 `frt_p_value` and `frt_p_values` share one core: the design supplies the
 analysis form (`analysis_form`) and the reference set (drawn, or enumerated
@@ -114,12 +115,12 @@ class CiResult:
     `lower` / `upper` bound the accepted region, located between grid points
     by refinement over ever finer uniform sub-grids, to a sub-grid step of
     2**-36 of the grid span (hi - lo) or less. At that step they do not read
-    the last bits of the node evaluations, so they do not move with the
-    evaluator's row-block size or the BLAS thread count.
+    the last bits of the evaluations behind the midpoint coefficients (see
+    `invert_ci`), so they do not move with the row blocks or BLAS threads.
     `grid` is (lo, hi, step); `points` and `p_values` are the tested grid
-    shifts and their p-values. `lower_at_edge` / `upper_at_edge` flag an
-    accepted region that reaches the first / last grid point, where the
-    interval may be cut off by the grid rather than by the test.
+    shifts, np.linspace(lo, hi, num), and their p-values. `lower_at_edge` /
+    `upper_at_edge` flag an accepted region that reaches the first / last
+    grid point, where the grid rather than the test may cut the interval.
     """
 
     lower: float
@@ -173,8 +174,10 @@ def _check_sided(sided: str):
 def _reference_set(design: DesignSpec, z: np.ndarray, r, seed, exact: bool) -> np.ndarray:
     """The observed assignment `z` as row 0, then the reference rows: the
     whole assignment space, or `r` draws from the stream of `seed`, drawn
-    chunk by chunk in place."""
+    chunk by chunk in place. InvariantViolation unless `seed` is a
+    non-negative integer, in either mode."""
     if exact:
+        _whole(seed, 0, "seed")  # no draw reads it, but a bad one is an error in every mode
         return np.concatenate([z[None, :].astype(np.uint8), exhaustive_assignments(design)])
     r = _replicate_count(r)
     out = np.empty((1 + r, design.n_units), dtype=np.uint8)
@@ -307,60 +310,47 @@ def _grid(grid) -> tuple[float, float, int]:
     raise InvariantViolation(f"grid must be (lo, hi, num), finite lo < hi, int num >= 2: {grid!r}")
 
 
-def _interpolated(vals: np.ndarray, nodes, c: np.ndarray, studentization: str):
-    """(tau, se2) under Y - cZ from the node values (see `invert_ci`), one
-    column per shift in `c`; se2 is None for an unstudentized statistic.
-
-    The estimate is interpolated linearly between the end nodes and the
-    squared SE by the quadratic through all three nodes, so each reproduces
-    its node evaluations exactly.
+def _interpolated(poly: np.ndarray, v: np.ndarray, studentization: str):
+    """(tau, se2) under Y - cZ by Horner's rule on each row's coefficients
+    about the grid midpoint (see `invert_ci`), one column per shift in `v`,
+    in grid units; se2 is None for an unstudentized statistic.
     """
-    c0, c1, c2 = nodes
-    u = (c - c0) / (c2 - c0)
-    tau = (1 - u) * vals[:, 0:1] + u * vals[:, 1:2]
-    if studentization == "none":
-        return tau, None
-    l0 = (c - c1) * (c - c2) / ((c0 - c1) * (c0 - c2))
-    l1 = (c - c0) * (c - c2) / ((c1 - c0) * (c1 - c2))
-    l2 = (c - c0) * (c - c1) / ((c2 - c0) * (c2 - c1))
-    return tau, l0 * vals[:, 2:3] + l1 * vals[:, 3:4] + l2 * vals[:, 4:5]
+    with np.errstate(invalid="ignore"):
+        tau = poly[:, 0:1] + v * poly[:, 1:2]
+        if studentization == "none":
+            return tau, None
+        return tau, poly[:, 2:3] + v * (poly[:, 3:4] + v * poly[:, 4:5])
 
 
-def _stat_at_shift(vals: np.ndarray, nodes, c: np.ndarray, studentization: str) -> np.ndarray:
-    """Statistic under Y - cZ from its node values, one column per shift in `c`."""
-    tau, se2 = _interpolated(vals, nodes, c, studentization)
+def _stat_at_shift(poly: np.ndarray, v: np.ndarray, studentization: str) -> np.ndarray:
+    """Statistic under Y - cZ from its coefficients, one column per shift in `v`."""
+    tau, se2 = _interpolated(poly, v, studentization)
     return tau if se2 is None else _studentized(tau, se2)
 
 
-def _stat_bounds(vals: np.ndarray, nodes, ends, studentization: str):
+def _stat_bounds(poly: np.ndarray, ends, studentization: str):
     """(lo, hi), one column per bracket: bounds per row on every value
     `_stat_at_shift` can give at a shift between a and b, for `ends` = (a, b),
-    two arrays with a < b inside the nodes; NaN where there are none.
+    two arrays with -1 <= a < b <= 1; NaN where there are none.
 
-    Between a and b the estimate is linear in c, and the squared SE, a
-    quadratic with leading coefficient k, strays from its chord by at most
-    |k| (b - a)^2 / 4; twice that is allowed. Both are widened by 64 eps
-    times the sum of their node values' magnitudes, well above the rounding
-    of the interpolation at any shift. A squared SE that may then reach 0
-    leaves t unbounded away from 0: only the bound nearer 0 remains.
+    Between a and b the estimate is linear in v, and the squared SE, a
+    quadratic with leading coefficient k (the row's last), strays from its
+    chord by at most |k| (b - a)^2 / 4; twice that is allowed. Both are
+    widened by 64 eps times the sum of their coefficients' magnitudes, above
+    the rounding of Horner's rule at |v| <= 1. A squared SE that may then
+    reach 0 leaves t unbounded away from 0: only the bound nearer 0 remains.
     """
     a, b = ends
     n = a.size
     eps = np.finfo(np.float64).eps
-    tau, se2 = _interpolated(vals, nodes, np.concatenate([a, b]), studentization)
-    spread = 64 * eps * (np.abs(vals[:, 0:1]) + np.abs(vals[:, 1:2]))
+    tau, se2 = _interpolated(poly, np.concatenate([a, b]), studentization)
+    spread = 64 * eps * (np.abs(poly[:, 0:1]) + np.abs(poly[:, 1:2]))
     lo = np.minimum(tau[:, :n], tau[:, n:]) - spread
     hi = np.maximum(tau[:, :n], tau[:, n:]) + spread
     if se2 is None:
         return lo, hi
-    c0, c1, c2 = nodes
-    k = (
-        vals[:, 2:3] / ((c0 - c1) * (c0 - c2))
-        + vals[:, 3:4] / ((c1 - c0) * (c1 - c2))
-        + vals[:, 4:5] / ((c2 - c0) * (c2 - c1))
-    )
-    spread = 64 * eps * (np.abs(vals[:, 2:3]) + np.abs(vals[:, 3:4]) + np.abs(vals[:, 4:5]))
-    spread = spread + np.abs(k) * (b - a) ** 2 / 2
+    spread = 64 * eps * np.abs(poly[:, 2:5]).sum(axis=1, keepdims=True)
+    spread = spread + np.abs(poly[:, 4:5]) * (b - a) ** 2 / 2
     low = np.minimum(se2[:, :n], se2[:, n:]) - spread
     se_lo = np.sqrt(np.where(low > 0, low, np.nan))
     se_hi = np.sqrt(np.maximum(se2[:, :n], se2[:, n:]) + spread)
@@ -370,21 +360,21 @@ def _stat_bounds(vals: np.ndarray, nodes, ends, studentization: str):
     )
 
 
-def _settle(rows: np.ndarray, nodes, ends, studentization: str, sided: str):
+def _settle(rows: np.ndarray, ends, studentization: str, sided: str):
     """(keep, extreme) for searches between `ends` = (a, b), two arrays of
-    brackets' ends in either order: which rows can change their extreme
-    status in each bracket, (rows, brackets), and how many of the others are
-    extreme, one count per bracket.
+    brackets' ends in either order, in grid units: which rows can change
+    their extreme status in each bracket, (rows, brackets), and how many of
+    the others are extreme, one count per bracket.
 
-    `rows` holds the observed node values first, then the replicates'. A
+    `rows` holds the observed coefficients first, then the replicates'. A
     replicate is settled when its bounds (`_stat_bounds`, of |t| if
     two-sided) clear the observed statistic's by more than _SETTLE_RTOL of
-    max(1, |t_obs|), far above _TIE_RTOL. Rows with a non-finite node value
+    max(1, |t_obs|), far above _TIE_RTOL. Rows with a non-finite coefficient
     are never settled, nor is anything when the observed row lacks a bound.
     """
     a, b = ends
     with np.errstate(all="ignore"):  # an overflowed bound still holds; a NaN one settles nothing
-        lo, hi = _stat_bounds(rows, nodes, (np.minimum(a, b), np.maximum(a, b)), studentization)
+        lo, hi = _stat_bounds(rows, (np.minimum(a, b), np.maximum(a, b)), studentization)
         if sided == "two":
             lo, hi = np.where(lo > 0, lo, np.where(hi < 0, -hi, 0.0)), np.maximum(-lo, hi)
         margin = _SETTLE_RTOL * np.max(np.abs([np.ones_like(lo[0]), lo[0], hi[0]]), axis=0)
@@ -441,8 +431,8 @@ def invert_ci(
     Refinement stops once the sub-grid step is within 2**-36 of the grid
     span (`_REFINE_RTOL`): the endpoint is exact to that width, and it does
     not depend on the evaluator's row blocks or the BLAS thread count, which
-    move node values in their last bits. An accepted region that reaches a
-    grid edge ends there.
+    move the three evaluations below in their last bits. An accepted region
+    that reaches a grid edge ends there.
 
     The default grid spans the Wald interval with three widths of margin on
     each side. Its estimate comes from a one-row evaluation of the observed
@@ -452,21 +442,26 @@ def invert_ci(
 
     The reference set is evaluated only at the grid's ends and midpoint.
     Every fit depends on the reference assignment and X alone, so a
-    replicate's estimate is linear in c and each squared SE quadratic in c;
-    interpolating those three evaluations gives the statistic at every grid
-    point in O(R). One evaluator holds the three shifted outcomes, so the
+    replicate's estimate is linear in c and each squared SE quadratic in c:
+    in the grid unit v = (c - mid) / ((hi - lo) / 2), tau = t + v d and
+    se2 = s + v (e + v k), and the three evaluations give each row's five
+    coefficients, so the statistic at every grid point costs O(R). They are
+    taken about the midpoint, which keeps the evaluations' precision: about
+    c = 0 the squared SE of a large effect loses about (tau/se)^2 of it to
+    cancellation. One evaluator holds the three shifted outcomes, so the
     reference set is read in one pass, observed row first, whatever the grid
     size. The result carries the p-value of every grid point and flags an
     accepted region that reaches either grid edge.
 
     The grid is scanned in blocks of `_GRID_BLOCK` points, and both
-    endpoints are refined in lockstep, one pass per round (`_boundaries`).
-    Each block and each bracket scores only the observed row and the
-    replicates that can change their extreme status over its span. The same
-    interpolation bounds every other replicate's statistic there clear of
-    the observed one (`_settle`); those are counted once, so a block that
-    keeps no replicate is not scored at all, and every grid point and
-    sub-grid shift gets the p-value that scoring every replicate would give.
+    endpoints are refined in lockstep in v, one pass per round
+    (`_boundaries`), and mapped to c once. Each block and each bracket scores
+    only the observed row and the replicates that can change their extreme
+    status over its span. The same coefficients bound every other
+    replicate's statistic there clear of the observed one (`_settle`); those
+    are counted once, so a block that keeps no replicate is not scored at
+    all, and every grid point and sub-grid shift gets the p-value that
+    scoring every replicate would give.
     """
     if spec.studentization != "robust":
         warnings.warn(
@@ -502,27 +497,30 @@ def invert_ci(
     m = zmat.shape[0] - 1
 
     z_form = design.analysis_form(replace(data, y=data.z.astype(np.float64)))[0].y
-    nodes = (lo, lo + (hi - lo) / 2, hi)
-    outcomes = np.stack([adata.y - c * z_form for c in nodes])
+    mid, half = lo + (hi - lo) / 2, (hi - lo) / 2
+    outcomes = np.stack([adata.y - c * z_form for c in (lo, mid, hi)])
     at = make_evaluator(outcomes, adata.x, adesign.strata).triples(zmat, spec.adjustment)
-    # per row, the observed one first: tau at lo and hi, then the squared SE
-    # at lo, mid and hi (`at` is (node, triple, row))
+    # per row, the observed one first, the coefficients (t, d, s, e, k) of
+    # tau = t + v d and se2 = s + v (e + v k) (`at` is (node, triple, row))
     se2 = 2 if spec.studentization == "robust" else 1  # row of the triple
-    rows = np.column_stack([at[0, 0], at[2, 0], *at[:, se2]])
+    (tau_lo, _, tau_hi), (s_lo, s_mid, s_hi) = at[:, 0], at[:, se2]
+    rows = np.column_stack([(tau_lo + tau_hi) / 2, (tau_hi - tau_lo) / 2,
+                            s_mid, (s_hi - s_lo) / 2, (s_lo + s_hi) / 2 - s_mid])
 
-    # the grid in blocks of _GRID_BLOCK points, each settled from its first
-    # point to the next block's, over row chunks that each lead with the
-    # observed row: a block scores only the replicates that it keeps
+    # the grid in v, in blocks of _GRID_BLOCK points, each settled from its
+    # first point to the next block's, over row chunks that each lead with
+    # the observed row: a block scores only the replicates that it keeps
+    v = np.linspace(-1.0, 1.0, num)
     starts = np.arange(0, num, _GRID_BLOCK)
-    spans = (points[starts], points[np.minimum(starts + _GRID_BLOCK, num - 1)])
+    spans = (v[starts], v[np.minimum(starts + _GRID_BLOCK, num - 1)])
     extreme = np.zeros(num, dtype=np.int64)
     for start in range(1, m + 1, _GRID_ROWS):
         chunk = np.concatenate([rows[:1], rows[start : start + _GRID_ROWS]])
-        keep, settled = _settle(chunk, nodes, spans, spec.studentization, sided)
+        keep, settled = _settle(chunk, spans, spec.studentization, sided)
         extreme += np.repeat(settled, _GRID_BLOCK)[:num]
         for b in np.flatnonzero(keep[1:].any(axis=0)):
             block = slice(starts[b], starts[b] + _GRID_BLOCK)
-            t = _stat_at_shift(chunk[keep[:, b]], nodes, points[block], spec.studentization)
+            t = _stat_at_shift(chunk[keep[:, b]], v[block], spec.studentization)
             extreme[block] += _count_extreme(t[1:], t[0], sided)
     p_vals = _p_value(extreme, m, exact)
 
@@ -542,19 +540,19 @@ def invert_ci(
     ends = {}
     if searched:
         inside = np.array(list(searched.values()))
-        a, b = points[inside], points[inside + list(searched)]
-        keep, settled = _settle(rows, nodes, (a, b), spec.studentization, sided)
+        a, b = v[inside], v[inside + list(searched)]
+        keep, settled = _settle(rows, (a, b), spec.studentization, sided)
         near = keep.any(axis=1)  # the rows either search scores, each masked to its own
         near_rows = rows[near]
         keep = np.repeat(keep[near][1:], _REFINE_STEPS + 1, axis=1)
 
         def p_at(shifts):
-            t = _stat_at_shift(near_rows, nodes, shifts.ravel(), spec.studentization)
+            t = _stat_at_shift(near_rows, shifts.ravel(), spec.studentization)
             count = _count_extreme(t[1:], t[0], sided, keep).reshape(shifts.shape)
             return _p_value(count + settled[:, None], m, exact)
 
-        found = _boundaries(p_at, alpha, a, b, step, _REFINE_RTOL * (hi - lo))
-        ends = dict(zip(searched, found))
+        found = _boundaries(p_at, alpha, a, b, 2 / (num - 1), 2 * _REFINE_RTOL)
+        ends = dict(zip(searched, mid + found * half))
     lower, upper = ends.get(-1, points[first]), ends.get(1, points[last])
     return CiResult(
         float(lower),

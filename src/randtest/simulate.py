@@ -82,8 +82,10 @@ class ScenarioConfig:
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise InvalidConfig(f"{name} must be {what}, got {value!r}")
-        if isinstance(self.rem_threshold, bool):
-            raise InvalidConfig(f"rem_threshold must be a number, got {self.rem_threshold!r}")
+        threshold = self.rem_threshold
+        real = isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
+        if threshold is not None and not (real and threshold > 0):
+            raise InvalidConfig(f"rem_threshold must be a positive number, got {threshold!r}")
         for name in ("center", "shared_noise"):
             value = getattr(self, name)
             if not isinstance(value, bool):
@@ -100,9 +102,7 @@ class ScenarioConfig:
             raise InvariantViolation(f"alpha must be in (0,1), got {self.alpha}")
         if not 0 < self.treated_fraction < 1:
             raise InvariantViolation("treated_fraction must be in (0,1)")
-        if self.design_kind == "rem" and not (
-            isinstance(self.rem_threshold, numbers.Real) and self.rem_threshold > 0
-        ):
+        if self.design_kind == "rem" and threshold is None:
             raise InvariantViolation("a rerandomized scenario needs a positive rem_threshold")
         steps = np.diff(self.stratum_cutoffs)
         if not (np.all(steps >= 0) or np.all(steps <= 0)):

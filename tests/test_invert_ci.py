@@ -1,9 +1,10 @@
 """Interval inversion against a grid-scan oracle built from the public API.
 
-`invert_ci` evaluates the reference set at three shifts and interpolates;
-the oracle runs `frt_p_value` on the shifted outcome Y - cZ at every grid
-point, which draws the same reference rows. Every grid p-value must equal
-the oracle's, and each endpoint must be where the oracle's acceptance ends.
+`invert_ci` evaluates the reference set at three shifts and reads every
+other shift from polynomial coefficients about the grid midpoint; the
+oracle runs `frt_p_value` on the shifted outcome Y - cZ at every grid point,
+which draws the same reference rows. Every grid p-value must equal the
+oracle's, and each endpoint must be where the oracle's acceptance ends.
 
 The two paths round differently. A replicate whose statistic equals the
 observed one in real arithmetic (the complement of the observed assignment
@@ -120,6 +121,11 @@ def _case(name):
         return _complete(406, 10, 5, j=1), CompleteDesign(10, 5), 0, True
     if name == "exact-unbalanced":
         return _complete(408, 11, 4, j=1), CompleteDesign(11, 4), 0, True
+    if name == "large-effect":
+        # tau/se near 1e6: coefficients of Y - cZ taken about c = 0 lose
+        # about (tau/se)^2 of the squared SE's precision to cancellation
+        data = _complete(411, 40, 20)
+        return replace(data, y=data.y + 1e6 * data.z), CompleteDesign(40, 20), 99, False
     if name == "nan-replicates":
         # x1 is binary: a row treating four units that share x1 leaves x1
         # constant in the treated arm, so `l` has NaN replicates
@@ -141,6 +147,7 @@ CASES = (
     "rem",
     "exact-half",
     "exact-unbalanced",
+    "large-effect",
 )
 
 
@@ -353,7 +360,7 @@ def test_lockstep_refinement_matches_each_bracket_alone(seed, rtol):
             assert min(a[j], b[j]) <= shifts[j].min() <= shifts[j].max() <= max(a[j], b[j])
 
 
-def _settle_nothing(rows, nodes, ends, *args):
+def _settle_nothing(rows, ends, *args):
     # every row kept and none counted, for every bracket
     brackets = np.shape(ends[0])
     return np.ones((rows.shape[0], *brackets), dtype=bool), np.zeros(brackets, dtype=np.int64)
@@ -416,8 +423,8 @@ def test_blockwise_scan_matches_full_scan(num, grid_rows, monkeypatch):
     settle = engine._settle
     scans = []
 
-    def recording(rows, nodes, ends, *args):
-        keep, extreme = settle(rows, nodes, ends, *args)
+    def recording(rows, ends, *args):
+        keep, extreme = settle(rows, ends, *args)
         scans.append(keep[1:].any(axis=0))  # per bracket, whether it scores any replicate
         return keep, extreme
 
@@ -494,12 +501,23 @@ def _refinement_shifts(rng, inside, outside):
     return np.concatenate(shifts)
 
 
+def _poly(vals):
+    """Rows of node values (tau at lo and hi, se2 at lo, mid and hi) as the
+    midpoint coefficients that `invert_ci` forms from them."""
+    tau_lo, tau_hi, s_lo, s_mid, s_hi = np.asarray(vals, dtype=np.float64).T
+    with np.errstate(invalid="ignore"):  # inf - inf
+        t, d = (tau_lo + tau_hi) / 2, (tau_hi - tau_lo) / 2
+        e, k = (s_hi - s_lo) / 2, (s_lo + s_hi) / 2 - s_mid
+    return np.column_stack([t, d, s_mid, e, k])
+
+
 def _settle_trial(rng, studentization):
-    """(rows, nodes, ends): an observed row and 64 replicates of node values
-    around a bracket 1e-1 to 1e-8 as wide as the nodes' span. The replicates
-    tie with the observed statistic, graze it (a double root of the
-    quartic), nearly tie, cross zero, have a squared SE near 0, or a node
-    value that is not finite."""
+    """(rows, ends): an observed row and 64 replicates of midpoint
+    coefficients, formed from node values at lo, mid and hi, around a
+    bracket 1e-1 to 1e-8 as wide as the nodes' span, in grid units. The
+    replicates tie with the observed statistic, graze it (a double root of
+    the quartic), nearly tie, cross zero, have a squared SE near 0, or a
+    node value that is not finite."""
     lo = rng.normal(scale=10.0)
     hi = lo + 10.0 ** rng.uniform(-2, 2)
     mid = lo + (hi - lo) / 2
@@ -567,7 +585,8 @@ def _settle_trial(rng, studentization):
     if studentization == "none":
         rows[:, 2:] = 1.0
     ends = (a, b) if rng.random() < 0.5 else (b, a)
-    return rows, (lo, mid, hi), ends
+    half = (hi - lo) / 2
+    return _poly(rows), tuple((end - mid) / half for end in ends)
 
 
 @pytest.mark.parametrize("studentization", ["robust", "none"])
@@ -578,13 +597,13 @@ def test_settled_replicates_keep_their_status_in_the_bracket(sided, studentizati
     rng = gen(1607)
     settled_total = flipping_total = 0
     for _ in range(750):
-        rows, nodes, ends = _settle_trial(rng, studentization)
+        rows, ends = _settle_trial(rng, studentization)
         inside, outside = ends
         shifts = np.array([inside, outside, *_refinement_shifts(rng, inside, outside)])
         shifts = np.concatenate([shifts, rng.uniform(min(ends), max(ends), size=1000)])
-        t = engine._stat_at_shift(rows, nodes, shifts, studentization)
+        t = engine._stat_at_shift(rows, shifts, studentization)
         status = engine._count_extreme(t[None, 1:], t[0], sided)  # (replicates, shifts)
-        keep, extreme = engine._settle(rows, nodes, ([inside], [outside]), studentization, sided)
+        keep, extreme = engine._settle(rows, ([inside], [outside]), studentization, sided)
         keep, extreme = keep[:, 0], extreme[0]
         assert keep[0]
         assert keep[1:][~np.isfinite(rows[1:]).all(axis=1)].all()
@@ -602,44 +621,43 @@ def test_settled_replicates_keep_their_status_in_the_bracket(sided, studentizati
 @pytest.mark.parametrize("sided", engine._SIDES)
 def test_settle_over_many_brackets_equals_one_call_each(sided, studentization):
     # the trial's bracket, brackets 1e-8 to 1 times the nodes' span anywhere
-    # between them in either order, and a bracket of one shift
+    # between them in either order, and a bracket of one shift, in grid units
     rng = gen(1609)
     for _ in range(200):
-        rows, nodes, ends = _settle_trial(rng, studentization)
-        lo, _, hi = nodes
-        a = rng.uniform(lo, hi, size=6)
-        b = a + rng.choice([-1, 1], size=6) * (hi - lo) * 10.0 ** rng.uniform(-8, 0, size=6)
-        shift = rng.uniform(lo, hi)
+        rows, ends = _settle_trial(rng, studentization)
+        a = rng.uniform(-1, 1, size=6)
+        b = a + rng.choice([-1, 1], size=6) * 2 * 10.0 ** rng.uniform(-8, 0, size=6)
+        shift = rng.uniform(-1, 1)
         a = np.array([ends[0], *a, shift])
-        b = np.array([ends[1], *np.clip(b, lo, hi), shift])
-        keep, extreme = engine._settle(rows, nodes, (a, b), studentization, sided)
+        b = np.array([ends[1], *np.clip(b, -1, 1), shift])
+        keep, extreme = engine._settle(rows, (a, b), studentization, sided)
         assert keep.shape == (rows.shape[0], a.size) and extreme.shape == (a.size,)
         for j in range(a.size):
-            one = engine._settle(rows, nodes, (a[j : j + 1], b[j : j + 1]), studentization, sided)
+            one = engine._settle(rows, (a[j : j + 1], b[j : j + 1]), studentization, sided)
             np.testing.assert_array_equal(keep[:, j], one[0][:, 0])
             assert extreme[j] == one[1][0]
 
 
 def test_squared_se_lost_to_cancellation_is_not_settled():
-    # the quadratic (c - 0.3)^2 through nodes 0.1, 0.55 and 1 reads about
-    # 1e-18 just right of 0.3, below the rounding of its interpolation, so
-    # rounding alone moves the replicate's statistic across the observed one
-    nodes = (0.1, 0.55, 1.0)
-    se2_nodes = [(c - 0.3) ** 2 for c in nodes]
+    # the squared SE (v + 0.5)^2, coefficients 0.25, 1 and 1, reads 2.5e-17
+    # to 2.3e-16 at 5e-9 to 1.5e-8 right of -0.5, where Horner's rule rounds
+    # 1 + v to 1.1e-16 and v (1 + v) to 5.6e-17, so rounding alone moves the
+    # replicate's statistic across the observed one
+    se2_coefs = [0.25, 1.0, 1.0]
     rng = gen(1608)
     flips = 0
     for _ in range(100):
-        a = 0.3 + 1e-9 * (1 + rng.random())
-        b = a + 1e-9 * rng.random()
+        a = -0.5 + 5e-9 * (1 + rng.random())
+        b = a + 5e-9 * rng.random()
         ends = np.array([a, b])
-        _, se2 = engine._interpolated(np.array([[0, 0, *se2_nodes]]), nodes, ends, "robust")
+        _, se2 = engine._interpolated(np.array([[0, 0, *se2_coefs]]), ends, "robust")
         tau = 1.5 * np.sqrt(max(se2.min(), 0.0))  # |t| = 1.5 < 1.7 where the ends read most
-        rows = np.array([[1.7, 1.7, 1.0, 1.0, 1.0], [tau, tau, *se2_nodes]])
+        rows = np.array([[1.7, 0, 1.0, 0, 0], [tau, 0, *se2_coefs]])
         shifts = np.concatenate([[a, b], rng.uniform(a, b, size=1000)])
-        t = engine._stat_at_shift(rows, nodes, shifts, "robust")
+        t = engine._stat_at_shift(rows, shifts, "robust")
         status = engine._count_extreme(t[None, 1:], t[0], "two")[0]
         flips += status.min() != status.max()
-        keep, _ = engine._settle(rows, nodes, ([a], [b]), "robust", "two")
+        keep, _ = engine._settle(rows, ([a], [b]), "robust", "two")
         assert keep[1, 0] or status.min() == status.max()
     assert flips > 50
 
@@ -651,9 +669,9 @@ def test_interval_scores_a_fraction_of_the_replicate_values(monkeypatch):
     stat_at_shift = engine._stat_at_shift
     formed = []
 
-    def counted(vals, nodes, c, studentization):
-        formed.append((vals.shape[0] - 1) * c.size)  # the observed row is no replicate
-        return stat_at_shift(vals, nodes, c, studentization)
+    def counted(poly, v, studentization):
+        formed.append((poly.shape[0] - 1) * v.size)  # the observed row is no replicate
+        return stat_at_shift(poly, v, studentization)
 
     monkeypatch.setattr(engine, "_stat_at_shift", counted)
     for seed in range(3):

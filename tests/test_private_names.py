@@ -1,7 +1,8 @@
 """Every private module-level function, class and constant of the package is
 used somewhere in the package, and so is every method of a private class and
 every attribute the package stores on `self`: one that only its own
-definition names, or only the tests, is dead code."""
+definition names, or only the tests, is dead code. So is a parameter of a
+private function or method that its body never reads."""
 
 import ast
 from collections import Counter
@@ -88,4 +89,46 @@ def test_every_private_method_and_stored_attribute_is_read_in_the_package():
         for line, member in _members(tree)
         if member not in read
     ]
+    assert unread == []
+
+
+def _private_functions(tree):
+    """Each private function, and each method of a private class, but
+    dunders: a name that starts with `_` and does not end with `__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            yield from (
+                f
+                for f in node.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not f.name.startswith("_")
+            )
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_")
+            and not node.name.endswith("__")
+        ):
+            yield node
+
+
+def test_every_parameter_of_a_private_function_is_read_in_its_body():
+    unread = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for function in _private_functions(ast.parse(path.read_text())):
+            args = function.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                node.id
+                for statement in function.body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{function.lineno} {function.name}({p.arg})"
+                for p in params
+                if p is not None
+                and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+                and p.arg not in read
+            ]
     assert unread == []

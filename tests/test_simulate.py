@@ -213,7 +213,7 @@ def test_config_validation():
         flat_config(design_kind="bogus")
     with pytest.raises(InvariantViolation):
         flat_config(design_kind="rem")  # threshold missing
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvalidConfig):
         flat_config(design_kind="rem", rem_threshold="abc")
     with pytest.raises(InvariantViolation):
         flat_config(alpha=1.0)
@@ -461,6 +461,12 @@ def test_config_rejects_unknown_fields():
         {"shared_noise": 0},
         {"rem_threshold": True},
         {"design_kind": "rem", "rem_threshold": True},
+        # checked whatever the design kind, not echoed into the report
+        {"rem_threshold": "abc"},
+        {"rem_threshold": [1]},
+        {"rem_threshold": -3.0},
+        {"rem_threshold": float("nan")},
+        {"design_kind": "rem", "rem_threshold": 0},
     ],
 )
 def test_config_rejects_malformed_fields(fields):

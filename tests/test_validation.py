@@ -67,25 +67,41 @@ def _library_calls(data):
 # -- seeds, replicate counts and CI grids ---------------------------------------
 
 
-@pytest.mark.parametrize("call", ["frt_p_value", "frt_p_values", "invert_ci", "perm_lm_p_value"])
+_BAD_SEEDS = [{"seed": -1}, {"seed": 1.5}, {"seed": "7"}]
+_BAD_COUNTS = [
+    {"r": "abc"},
+    {"r": float("nan")},
+    {"r": 10.5},
+    {"r": True},
+    {"r": -3},
+]
+
+
+def _exact_calls():
+    """Exact-mode entry points on a 10-unit design, as call(r=..., seed=...):
+    they draw nothing, but check the seed they are given all the same."""
+    data = random_dataset(1802, n=10, j=1)
+    design = CompleteDesign(10, 5)
+    return {
+        "frt_p_value exact": lambda **kw: frt_p_value(data, L_ROBUST, design, exact=True, **kw),
+        "invert_ci exact": lambda **kw: invert_ci(data, L_ROBUST, 0.05, design, exact=True, **kw),
+    }
+
+
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, call",
     [
-        {"seed": -1},
-        {"seed": 1.5},
-        {"seed": "7"},
-        {"r": "abc"},
-        {"r": float("nan")},
-        {"r": 10.5},
-        {"r": True},
-        {"r": -3},
-    ],
-    ids=repr,
+        (kwargs, call)
+        for kwargs in _BAD_SEEDS + _BAD_COUNTS
+        for call in ["frt_p_value", "frt_p_values", "invert_ci", "perm_lm_p_value"]
+    ]
+    + [(kwargs, call) for kwargs in [*_BAD_SEEDS, {"seed": None}] for call in _exact_calls()],
+    ids=lambda v: v if isinstance(v, str) else repr(v),
 )
 def test_bad_seed_or_replicate_count_is_an_invariant_violation(data, call, kwargs):
     kwargs = {"r": 50, "seed": 3} | kwargs
     with pytest.raises(InvariantViolation):
-        _library_calls(data)[call](**kwargs)
+        (_library_calls(data) | _exact_calls())[call](**kwargs)
 
 
 @pytest.mark.parametrize("call", ["frt_p_value", "frt_p_values", "invert_ci", "perm_lm_p_value"])
